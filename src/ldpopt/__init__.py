@@ -11,7 +11,7 @@ from .utilities import (CHI2, KL, TV, AbsoluteContinuityViolated,
                         ConvexityViolation, FDivergenceKind, UtilitySpec, custom,
                         entropy, f_divergence, hypothesis_testing,
                         information_preservation, mutual_information,
-                        column_utility, utility)
+                        column_scores, column_utility, utility)
 from .mechanisms import (PartitionSet, binary_ht, binary_mi, geometric,
                          ht_partition, mi_partition, quaternary,
                          randomized_response)

@@ -238,18 +238,13 @@ def is_staircase(Q: Mechanism, eps: float, tol: float = 1e-7) -> bool:
     """
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    for y in range(Q.l):
-        col = Q.column(y)
-        pos = col > ABS_FLOOR
-        if not pos.any():
-            continue
-        if not pos.all():
-            return False
-        logs = np.log(col)
-        diff = np.abs(logs[:, None] - logs[None, :])
-        if not np.all(np.minimum(diff, np.abs(diff - eps)) <= tol):
-            return False
-    return True
+    pos = Q.rows > ABS_FLOOR
+    live = pos.any(axis=0)
+    if (pos != live).any():
+        return False
+    logs = np.log(Q.rows[:, live])
+    diff = np.abs(logs[:, None, :] - logs[None, :, :])
+    return bool((np.minimum(diff, np.abs(diff - eps)) <= tol).all())
 
 
 def effective_epsilon(Q: Mechanism) -> float:
@@ -258,16 +253,12 @@ def effective_epsilon(Q: Mechanism) -> float:
     Equals the largest |log Q(y|x) - log Q(y|x')| over outputs with positive
     mass everywhere; a column mixing zero and nonzero entries forces inf.
     """
-    worst = 0.0
-    for y in range(Q.l):
-        col = Q.column(y)
-        pos = col > 0
-        if not pos.any():
-            continue
-        if not pos.all():
-            return math.inf
-        worst = max(worst, float(np.log(col.max()) - np.log(col.min())))
-    return worst
+    pos = Q.rows > 0
+    live = pos.any(axis=0)
+    if (pos != live).any():
+        return math.inf
+    cols = Q.rows[:, live]
+    return float((np.log(cols.max(axis=0)) - np.log(cols.min(axis=0))).max(initial=0.0))
 
 
 def induced_marginal(P: Distribution, Q: Mechanism) -> Distribution:
@@ -331,9 +322,14 @@ def mechanism_from_dict(obj: dict) -> MechanismRecord:
         mat[x] /= s
     eps_claimed = obj.get("eps_claimed")
     delta_claimed = obj.get("delta_claimed")
-    for name, v in (("eps_claimed", eps_claimed), ("delta_claimed", delta_claimed)):
-        if v is not None and (not isinstance(v, (int, float)) or isinstance(v, bool)):
+    for name, v, hi, allowed in (("eps_claimed", eps_claimed, math.inf, "finite and >= 0"),
+                                 ("delta_claimed", delta_claimed, 1.0, "in [0, 1]")):
+        if v is None:
+            continue
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise MechanismFormatError(f"{name} must be a number or null")
+        if not (math.isfinite(v) and 0.0 <= v <= hi):
+            raise MechanismFormatError(f"{name} must be {allowed}, got {v!r}")
     return MechanismRecord(
         mechanism=Mechanism(mat),
         eps_claimed=None if eps_claimed is None else float(eps_claimed),

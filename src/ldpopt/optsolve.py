@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .core import AlphabetTooLarge, PatternMatrix, Mechanism, pattern_matrix
-from .utilities import UtilitySpec, column_utility
+from .utilities import UtilitySpec, column_scores
 
 # LP solving is capped at k = 12 (4096 pattern columns).
 MAX_LP_K = 12
@@ -79,22 +79,7 @@ def build_lp(spec: UtilitySpec, eps: float) -> StaircaseLP:
     if k > MAX_LP_K:
         raise AlphabetTooLarge(f"LP solving capped at k={MAX_LP_K}")
     pat = pattern_matrix(k, eps)
-    S = pat.matrix
-    if spec.objective == "ht" and spec.kind.tag != "custom":
-        a = spec.p0.probs @ S
-        b = spec.p1.probs @ S
-        if spec.kind.tag == "kl":
-            obj = a * np.log(a / b)
-        elif spec.kind.tag == "tv":
-            obj = 0.5 * np.abs(a - b)
-        else:  # chi2
-            obj = (a - b) ** 2 / b
-    elif spec.objective == "mi":
-        b = spec.p.probs @ S
-        obj = (spec.p.probs[:, None] * S * np.log(S)).sum(axis=0) - b * np.log(b)
-    else:
-        obj = np.array([column_utility(spec, S[:, j]) for j in range(S.shape[1])])
-    obj = np.asarray(obj, dtype=float)
+    obj = column_scores(spec, pat.matrix)
     obj.flags.writeable = False
     return StaircaseLP(k=k, eps=eps, obj=obj, pattern=pat)
 
@@ -241,10 +226,12 @@ def vertex_oracle(lp: StaircaseLP) -> float:
     S = lp.pattern.matrix
     k, n = S.shape
     ones = np.ones(k)
+    colmax = S.max(axis=0)
     best = -np.inf
     for size in range(1, k + 1):
         for subset in itertools.combinations(range(n), size):
-            A = S[:, subset]
+            idx = list(subset)
+            A = S[:, idx]
             if size == k:
                 try:
                     th = np.linalg.solve(A, ones)
@@ -256,7 +243,9 @@ def vertex_oracle(lp: StaircaseLP) -> float:
                 continue
             if np.abs(A @ th - 1.0).max() > ORACLE_RESIDUAL_TOL:
                 continue
-            if th.min() < -ORACLE_NEG_TOL:
+            # Judge each weight by the mass it puts in its column: e^eps
+            # magnifies a slightly negative weight on an e^eps entry.
+            if (th * colmax[idx]).min() < -ORACLE_NEG_TOL:
                 continue
-            best = max(best, float(lp.obj[list(subset)] @ th))
+            best = max(best, float(lp.obj[idx] @ th))
     return best

@@ -3,18 +3,20 @@ per-column sublinear scores that reduce them to sums over mechanism columns.
 
 Every utility here decomposes as U(Q) = sum_y mu(Q_y) for a positively
 homogeneous, subadditive mu, which is what makes the extremal-mechanism LP
-work. All logarithms are natural; divergences are in nats.
+work. Each score is written once, in `column_scores` (the f-divergence
+terms b f(a/b) in `FDivergenceKind.terms`); the LP objective, `utility`,
+`column_utility`, `f_divergence` and `mutual_information` all call it. All
+logarithms are natural; divergences are in nats.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import Distribution, DimensionMismatch, Mechanism, induced_marginal
+from .core import Distribution, DimensionMismatch, Mechanism
 
 
 class AbsoluteContinuityViolated(ValueError):
@@ -38,13 +40,31 @@ class FDivergenceKind:
 
     def f(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.tag == "kl":
-            return np.where(x > 0, x * np.log(np.where(x > 0, x, 1.0)), 0.0)
-        if self.tag == "tv":
-            return 0.5 * np.abs(x - 1.0)
-        if self.tag == "chi2":
-            return (x - 1.0) ** 2
-        return np.vectorize(self.custom_f, otypes=[float])(x)
+        if self.tag == "custom":
+            return np.vectorize(self.custom_f, otypes=[float])(x)
+        return self.terms(x, np.ones_like(x))
+
+    def terms(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """b f(a / b) elementwise; 0 where a = b = 0.
+
+        TV is half |a - b| everywhere and needs no support condition. For the
+        other generators a must vanish wherever b does (absolute
+        continuity); callers check that.
+        """
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.tag == "kl":
+                return np.where(a > 0, a * np.log(a / b), 0.0)
+            if self.tag == "tv":
+                return 0.5 * np.abs(a - b)
+            if self.tag == "chi2":
+                return np.where(b > 0, (a - b) ** 2 / b, 0.0)
+        pos = b > 0
+        ratios = a[pos] / b[pos]
+        _spot_check_convexity(self.f, ratios)
+        out = np.zeros(b.shape)
+        out[pos] = b[pos] * self.f(ratios)
+        return out
 
 
 KL = FDivergenceKind("kl")
@@ -57,26 +77,25 @@ def custom(f: Callable[[float], float]) -> FDivergenceKind:
     return FDivergenceKind("custom", custom_f=f)
 
 
-def _spot_check_convexity(kind: FDivergenceKind, ratios: np.ndarray) -> None:
-    """100-point midpoint-convexity check over the observed ratio range.
+def _spot_check_convexity(f: Callable[[np.ndarray], np.ndarray],
+                          ratios: np.ndarray) -> None:
+    """100-point midpoint-convexity check of a custom generator over the
+    observed ratio range.
 
-    Only custom generators are checked; the presets are convex by
-    construction. A non-convex generator voids the extremal-mechanism
-    reduction, so this is a hard error.
+    The presets are convex by construction. A non-convex generator voids
+    the extremal-mechanism reduction, so this is a hard error.
     """
-    if kind.tag != "custom":
-        return
-    lo = float(min(np.min(ratios), 1.0))
-    hi = float(max(np.max(ratios), 1.0))
+    lo = float(np.min(ratios, initial=1.0))
+    hi = float(np.max(ratios, initial=1.0))
     if hi <= lo:
         hi = lo + 1.0
     grid = np.linspace(lo, hi, 100)
-    vals = kind.f(grid)
+    vals = f(grid)
     scale = max(1.0, float(np.max(np.abs(vals))))
-    mid = kind.f((grid[:-2] + grid[2:]) / 2.0)
+    mid = f((grid[:-2] + grid[2:]) / 2.0)
     if np.any(mid > (vals[:-2] + vals[2:]) / 2.0 + 1e-9 * scale):
         raise ConvexityViolation("custom generator is not convex on the observed range")
-    if abs(float(kind.f(np.array([1.0]))[0])) > 1e-9:
+    if abs(float(f(np.array([1.0]))[0])) > 1e-9:
         raise ConvexityViolation("custom generator must satisfy f(1) = 0")
 
 
@@ -138,19 +157,9 @@ def f_divergence(kind: FDivergenceKind, M0: Distribution, M1: Distribution) -> f
     if M0.k != M1.k:
         raise DimensionMismatch("marginals must share an alphabet")
     a, b = M0.probs, M1.probs
-    if kind.tag == "tv":
-        return 0.5 * float(np.abs(a - b).sum())
-    if np.any((b == 0) & (a > 0)):
+    if kind.tag != "tv" and np.any((b == 0) & (a > 0)):
         raise AbsoluteContinuityViolated("M0 has mass where M1 has none")
-    pos = b > 0
-    ratios = a[pos] / b[pos]
-    if kind.tag == "kl":
-        nz = ratios > 0
-        return float((b[pos][nz] * ratios[nz] * np.log(ratios[nz])).sum())
-    if kind.tag == "chi2":
-        return float((b[pos] * (ratios - 1.0) ** 2).sum())
-    _spot_check_convexity(kind, ratios)
-    return float((b[pos] * kind.f(ratios)).sum())
+    return float(kind.terms(a, b).sum())
 
 
 def mutual_information(P: Distribution, Q: Mechanism) -> float:
@@ -160,44 +169,32 @@ def mutual_information(P: Distribution, Q: Mechanism) -> float:
     """
     if P.k != Q.k:
         raise DimensionMismatch(f"P has k={P.k} but Q has k={Q.k}")
-    if not P.is_positive:
-        raise ValueError("prior must be positive")
-    m = induced_marginal(P, Q).probs
-    rows = Q.rows
+    return float(column_scores(information_preservation(P), Q.rows).sum())
+
+
+def column_scores(spec: UtilitySpec, C: np.ndarray) -> np.ndarray:
+    """The sublinear score mu of each column of a k x n nonnegative matrix.
+
+    Hypothesis testing: (P1.c) f(P0.c / P1.c).
+    Information preservation: sum_x P(x) c(x) log(c(x) / P.c), with 0 where
+    c(x) = 0. An all-zero column scores 0.
+    """
+    if spec.objective == "ht":
+        return spec.kind.terms(spec.p0.probs @ C, spec.p1.probs @ C)
+    p = spec.p.probs
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = P.probs[:, None] * rows * (np.log(rows) - np.log(m)[None, :])
-    return float(np.where(rows > 0, terms, 0.0).sum())
+        terms = p[:, None] * C * (np.log(C) - np.log(p @ C))
+    return np.where(C > 0, terms, 0.0).sum(axis=0)
 
 
 def column_utility(spec: UtilitySpec, col: np.ndarray) -> float:
-    """The sublinear column score mu(Q_y); an all-zero column scores 0.
-
-    Hypothesis testing: (P1.col) f(P0.col / P1.col).
-    Information preservation: sum_x P(x) c(x) log(c(x) / P.col).
-    """
+    """The sublinear column score mu(Q_y) of one column; see `column_scores`."""
     c = np.asarray(col, dtype=float)
     if c.ndim != 1 or c.size != spec.k:
         raise DimensionMismatch(f"column must have length {spec.k}")
     if np.any(c < 0):
         raise ValueError("column entries must be nonnegative")
-    if spec.objective == "ht":
-        a = float(spec.p0.probs @ c)
-        b = float(spec.p1.probs @ c)
-        if b <= 0:
-            return 0.0
-        r = a / b
-        if spec.kind.tag == "kl":
-            return a * math.log(r) if a > 0 else 0.0
-        if spec.kind.tag == "tv":
-            return 0.5 * abs(a - b)
-        if spec.kind.tag == "chi2":
-            return (a - b) ** 2 / b
-        return b * float(spec.kind.f(np.array([r]))[0])
-    m = float(spec.p.probs @ c)
-    if m <= 0:
-        return 0.0
-    pos = c > 0
-    return float((spec.p.probs[pos] * c[pos] * (np.log(c[pos]) - math.log(m))).sum())
+    return float(column_scores(spec, c[:, None])[0])
 
 
 def utility(spec: UtilitySpec, Q: Mechanism) -> float:
@@ -208,10 +205,4 @@ def utility(spec: UtilitySpec, Q: Mechanism) -> float:
     """
     if Q.k != spec.k:
         raise DimensionMismatch(f"spec has k={spec.k} but Q has k={Q.k}")
-    if spec.objective == "ht" and spec.kind.tag == "custom":
-        a = spec.p0.probs @ Q.rows
-        b = spec.p1.probs @ Q.rows
-        pos = b > 0
-        if pos.any():
-            _spot_check_convexity(spec.kind, a[pos] / b[pos])
-    return float(sum(column_utility(spec, Q.column(y)) for y in range(Q.l)))
+    return float(column_scores(spec, Q.rows).sum())

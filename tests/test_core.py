@@ -206,6 +206,11 @@ class TestStaircase:
     def test_geometric_is_not(self):
         assert not L.is_staircase(L.geometric(6, 2.0), 2.0)
 
+    def test_zero_and_mixed_columns(self):
+        Q = L.Mechanism(np.array([[1 / 3, 2 / 3, 0.0], [2 / 3, 1 / 3, 0.0]]))
+        assert L.is_staircase(Q, math.log(2))
+        assert not L.is_staircase(L.Mechanism(np.array([[0.5, 0.5], [0.0, 1.0]])), 1.0)
+
     def test_staircase_implies_private(self):
         rng = np.random.default_rng(11)
         for k, eps in ((3, 0.7), (4, 1.5), (2, 0.0)):
@@ -255,6 +260,10 @@ class TestEffectiveEpsilon:
     def test_identity_is_infinite(self):
         assert L.effective_epsilon(L.Mechanism(np.eye(2))) == math.inf
 
+    def test_skips_all_zero_columns(self):
+        Q = L.Mechanism(np.array([[1 / 3, 2 / 3, 0.0], [2 / 3, 1 / 3, 0.0]]))
+        assert L.effective_epsilon(Q) == pytest.approx(math.log(2))
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -285,6 +294,13 @@ class TestSerialization:
     def test_rejects_malformed_json(self):
         with pytest.raises(L.MechanismFormatError, match="invalid JSON"):
             L.mechanism_from_json("{not json")
+        # json.loads accepts NaN and Infinity; the wire format does not.
+        rows = '"k": 2, "l": 2, "rows": [[0.5, 0.5], [0.5, 0.5]]'
+        for name, bad in (("eps_claimed", "NaN"), ("eps_claimed", "Infinity"),
+                          ("eps_claimed", "-1.0"), ("delta_claimed", "NaN"),
+                          ("delta_claimed", "-0.1"), ("delta_claimed", "1.5")):
+            with pytest.raises(L.MechanismFormatError, match=name):
+                L.mechanism_from_json(f'{{{rows}, "{name}": {bad}}}')
 
     def test_rejects_shape_mismatch(self):
         obj = {"k": 2, "l": 3, "rows": [[0.5, 0.5], [0.5, 0.5]]}

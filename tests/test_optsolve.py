@@ -32,7 +32,12 @@ class TestBuildLP:
     def test_objective_matches_column_utility(self):
         rng = np.random.default_rng(21)
         for k in (2, 3):
-            for spec in _random_specs(rng, k):
+            specs = _random_specs(rng, k)
+            p0, p1 = specs[0].p0, specs[0].p1
+            specs += (L.hypothesis_testing(L.CHI2, p0, p1),
+                      L.hypothesis_testing(L.custom(lambda x: x * math.log(x) - x + 1.0),
+                                           p0, p1))
+            for spec in specs:
                 lp = L.build_lp(spec, 1.3)
                 direct = [L.column_utility(spec, lp.pattern.column(j))
                           for j in range(lp.num_columns)]
@@ -45,6 +50,13 @@ class TestBuildLP:
         ref = L.hypothesis_testing(L.CHI2, spec.p0, spec.p1)
         np.testing.assert_allclose(L.build_lp(spec, 1.0).obj,
                                    L.build_lp(ref, 1.0).obj, rtol=1e-12)
+
+    def test_rejects_nonconvex_custom_kind(self):
+        spec = L.hypothesis_testing(L.custom(lambda x: -((x - 1.0) ** 2)),
+                                    L.make_distribution([0.6, 0.4]),
+                                    L.make_distribution([0.4, 0.6]))
+        with pytest.raises(L.ConvexityViolation):
+            L.build_lp(spec, 1.0)
 
     def test_cap(self):
         spec = L.information_preservation(L.Distribution(np.full(13, 1 / 13)))
@@ -212,6 +224,16 @@ class TestVertexOracle:
                     lp = L.build_lp(spec, eps)
                     assert L.solve(lp).value == pytest.approx(
                         L.vertex_oracle(lp), abs=1e-8)
+
+    def test_large_eps_matches_tv_closed_form(self):
+        # At eps = 30 a weight of -1e-14 on an e^eps column is a mass of
+        # -0.1; the oracle must reject such vertices.
+        rng = np.random.default_rng([7, 4, 1])
+        p0 = L.make_distribution(rng.dirichlet(np.ones(4)))
+        p1 = L.make_distribution(rng.dirichlet(np.ones(4)))
+        lp = L.build_lp(L.hypothesis_testing(L.TV, p0, p1), 30.0)
+        assert L.vertex_oracle(lp) == pytest.approx(
+            L.binary_tv_closed(p0, p1, 30.0), abs=1e-12)
 
     def test_eps0_is_zero(self):
         spec = L.information_preservation(L.make_distribution([0.3, 0.7]))
