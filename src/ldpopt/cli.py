@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 validation failure, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -355,7 +356,9 @@ def cmd_exponent(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="ldpopt",
                                      description="Optimal mechanisms for local "
                                                  "differential privacy on finite alphabets.")

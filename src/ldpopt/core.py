@@ -8,6 +8,7 @@ immutable after construction and all functions are pure.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -194,10 +195,19 @@ def pattern_matrix(k: int, eps: float) -> PatternMatrix:
         raise AlphabetTooLarge(f"k={k} outside [2, {MAX_PATTERN_K}]")
     if eps < 0:
         raise ValueError("eps must be >= 0")
+    mat = _pattern_bits(k) * (math.exp(eps) - 1.0)
+    mat += 1.0
+    mat.flags.writeable = False
+    return PatternMatrix(k=k, eps=eps, matrix=mat)
+
+
+@functools.cache
+def _pattern_bits(k: int) -> np.ndarray:
+    """The read-only k x 2^k {0, 1} bit matrix behind pattern_matrix."""
     j = np.arange(2**k, dtype=np.int64)
-    bits = (j[None, :] >> (k - 1 - np.arange(k)[:, None])) & 1
-    mat = (math.exp(eps) - 1.0) * bits.astype(float) + 1.0
-    return PatternMatrix(k=k, eps=eps, matrix=_frozen(mat))
+    bits = ((j[None, :] >> (k - 1 - np.arange(k)[:, None])) & 1).astype(float)
+    bits.flags.writeable = False
+    return bits
 
 
 def is_locally_private(Q: Mechanism, eps: float, tol: float = DEFAULT_RATIO_TOL) -> bool:

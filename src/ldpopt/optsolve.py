@@ -3,8 +3,17 @@
 The search space collapses to scalings of the {1, e^eps} pattern columns:
 maximize mu^T theta subject to S theta = 1, theta >= 0, where S is the
 k x 2^k pattern matrix. The LP is solved with a dense two-phase primal
-simplex under Bland's anti-cycling rule; a brute-force vertex enumeration
-serves as an independent oracle at small k.
+simplex; a brute-force vertex enumeration serves as an independent oracle at
+small k.
+
+The simplex runs on pattern columns scaled to a largest entry of 1. Every
+column score is positively homogeneous, so column j scaled by 1/s_j scores
+obj_j / s_j and carries weight theta_j * s_j, which is O(1/k) at every eps.
+Unscaled, entries and reduced costs grow like e^eps while PIVOT_TOL is
+absolute. Phase 1 prices by Bland's rule, whose basis lies next to
+randomized response; phase 2 prices by Dantzig's rule (most improving
+reduced cost) and falls back to Bland's rule after BLAND_AFTER degenerate
+pivots in a row, until a pivot makes progress again.
 """
 
 from __future__ import annotations
@@ -27,6 +36,12 @@ PIVOT_TOL = 1e-10
 EXTRACT_TOL = 1e-10
 
 MAX_ITERATIONS = 200_000
+
+# Phase 2 switches from Dantzig's to Bland's rule after this many degenerate
+# pivots in a row, so it cannot cycle; a step at or below DEGENERATE_STEP in
+# a scaled weight counts as degenerate.
+BLAND_AFTER = 50
+DEGENERATE_STEP = 1e-12
 
 # Oracle-side acceptance thresholds for candidate vertices.
 ORACLE_RESIDUAL_TOL = 1e-10
@@ -71,6 +86,8 @@ class LPSolution:
     value: float
     basis: tuple[int, ...]
     status: LPStatus
+    # Simplex pivots taken in phase 1 and in phase 2.
+    pivots: tuple[int, int] = (0, 0)
 
 
 def build_lp(spec: UtilitySpec, eps: float) -> StaircaseLP:
@@ -93,29 +110,39 @@ def _pivot(T: np.ndarray, r: int, j: int) -> None:
     T[r, j] = 1.0
 
 
-def _run_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, ncols: int) -> LPStatus:
-    """Bland's rule primal simplex on an already-canonical tableau.
+def _run_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, ncols: int,
+                 bland_after: int) -> tuple[LPStatus, int]:
+    """Primal simplex on an already-canonical tableau; returns status and pivots.
 
-    Entering: the lowest-index column whose reduced cost can improve the
-    (maximization) objective. Leaving: among minimum-ratio rows, the one
-    holding the lowest-index basic variable.
+    Entering: the column with the most improving reduced cost (Dantzig),
+    or, once `bland_after` pivots in a row have been degenerate, the
+    lowest-index improving column (Bland) until a pivot moves the
+    solution. `bland_after=0` is Bland's rule throughout. Leaving: among
+    minimum-ratio rows, the one holding the lowest-index basic variable.
     """
-    for _ in range(MAX_ITERATIONS):
+    degenerate = 0
+    for pivots in range(MAX_ITERATIONS):
         reduced = cost[basis] @ T[:, :ncols] - cost[:ncols]
-        candidates = np.flatnonzero(reduced < -PIVOT_TOL)
-        if candidates.size == 0:
-            return LPStatus.OPTIMAL
-        j = int(candidates[0])
+        if degenerate >= bland_after:
+            candidates = np.flatnonzero(reduced < -PIVOT_TOL)
+            if candidates.size == 0:
+                return LPStatus.OPTIMAL, pivots
+            j = int(candidates[0])
+        else:
+            j = int(np.argmin(reduced))
+            if reduced[j] >= -PIVOT_TOL:
+                return LPStatus.OPTIMAL, pivots
         col = T[:, j]
         rows = np.flatnonzero(col > PIVOT_TOL)
         if rows.size == 0:
-            return LPStatus.UNBOUNDED
+            return LPStatus.UNBOUNDED, pivots
         ratios = T[rows, -1] / col[rows]
         rmin = float(ratios.min())
         ties = rows[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]
         r = int(ties[np.argmin(basis[ties])])
         _pivot(T, r, j)
         basis[r] = j
+        degenerate = degenerate + 1 if rmin <= DEGENERATE_STEP else 0
     raise NumericalBreakdown("simplex iteration limit reached")
 
 
@@ -124,23 +151,26 @@ def solve(lp: StaircaseLP) -> LPSolution:
 
     Phase 1 starts from an artificial identity basis and also removes
     redundant constraint rows (every row is identical at eps = 0); Phase 2
-    maximizes the utility objective over the original columns only.
+    maximizes the utility objective over the original columns only. Both
+    run on the unit-max-scaled columns; the refine and the feasibility
+    certificate run on the original pattern matrix.
     """
     S = lp.pattern.matrix
     c = lp.obj
     k, n = S.shape
+    scale = S.max(axis=0)
 
-    T = np.hstack([S, np.eye(k), np.ones((k, 1))])
+    T = np.hstack([S / scale, np.eye(k), np.ones((k, 1))])
     basis = np.arange(n, n + k)
     cost1 = np.zeros(n + k)
     cost1[n:] = -1.0
-    status = _run_simplex(T, basis, cost1, ncols=n + k)
+    status, pivots1 = _run_simplex(T, basis, cost1, ncols=n + k, bland_after=0)
     if status is not LPStatus.OPTIMAL:
         raise NumericalBreakdown("phase 1 did not terminate at an optimum")
     infeasibility = sum(T[r, -1] for r in range(k) if basis[r] >= n)
     if infeasibility > 1e-9:
         return LPSolution(theta=np.zeros(n), value=float("nan"), basis=(),
-                          status=LPStatus.INFEASIBLE)
+                          status=LPStatus.INFEASIBLE, pivots=(pivots1, 0))
 
     # Drive leftover artificials out of the basis; rows that cannot pivot to
     # an original column are redundant constraints and are dropped.
@@ -159,13 +189,13 @@ def solve(lp: StaircaseLP) -> LPSolution:
         basis = basis[keep]
     T = np.hstack([T[:, :n], T[:, -1:]])
 
-    status = _run_simplex(T, basis, c, ncols=n)
+    status, pivots2 = _run_simplex(T, basis, c / scale, ncols=n, bland_after=BLAND_AFTER)
     if status is LPStatus.UNBOUNDED:
         # The feasible region is a bounded polytope, so this is numerical.
         raise NumericalBreakdown("no admissible pivot in a bounded LP")
 
     theta = np.zeros(n)
-    theta[basis] = T[:, -1]
+    theta[basis] = T[:, -1] / scale[basis]
 
     # Re-solve on the final basis to strip accumulated pivot error.
     cols = sorted(int(j) for j in set(basis))
@@ -177,8 +207,8 @@ def solve(lp: StaircaseLP) -> LPSolution:
     if float(np.abs(S @ theta - 1.0).max()) > 1e-9 or theta.min() < -1e-12:
         raise NumericalBreakdown("solution fails its feasibility certificate")
     theta.flags.writeable = False
-    return LPSolution(theta=theta, value=float(c @ theta),
-                      basis=tuple(cols), status=LPStatus.OPTIMAL)
+    return LPSolution(theta=theta, value=float(c @ theta), basis=tuple(cols),
+                      status=LPStatus.OPTIMAL, pivots=(pivots1, pivots2))
 
 
 def extract_mechanism(sol: LPSolution, lp: StaircaseLP) -> Mechanism:

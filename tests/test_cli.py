@@ -37,6 +37,14 @@ class TestMechCommand:
                                    atol=1e-12)
         assert rec.delta_claimed == pytest.approx(0.2)
 
+    def test_reused_parser_restores_defaults(self, capsys):
+        from ldpopt.cli import build_parser
+        assert build_parser() is build_parser()
+        assert main(["mech", "rr", "--k", "3", "--eps", "1.0"]) == 0
+        assert L.mechanism_from_json(capsys.readouterr().out).mechanism.k == 3
+        assert main(["mech", "rr", "--eps", "1.0"]) == 0
+        assert L.mechanism_from_json(capsys.readouterr().out).mechanism.k == 2
+
     def test_validation_error_exit_code(self, capsys):
         assert main(["mech", "rr", "--k", "1", "--eps", "1.0"]) == 1
 

@@ -139,6 +139,19 @@ class TestPatternMatrix:
         with pytest.raises(L.AlphabetTooLarge):
             L.pattern_matrix(17, 1.0)
 
+    def test_matches_direct_construction_and_is_frozen(self):
+        # the cached bit matrix gives the same bits as building them afresh
+        for k in (2, 5, 12):
+            j = np.arange(2**k, dtype=np.int64)
+            bits = (j[None, :] >> (k - 1 - np.arange(k)[:, None])) & 1
+            for eps in (0.0, 0.3, 8.0):
+                mat = L.pattern_matrix(k, eps).matrix
+                np.testing.assert_array_equal(
+                    mat, (math.exp(eps) - 1.0) * bits.astype(float) + 1.0)
+                assert not mat.flags.writeable
+                with pytest.raises(ValueError):
+                    mat[0, 0] = 0.0
+
 
 class TestLocalPrivacy:
     def test_rr_saturates(self):

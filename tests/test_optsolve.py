@@ -155,6 +155,46 @@ class TestSolve:
                 opt = L.solve(L.build_lp(spec, eps)).value
                 assert opt - L.rr_kl_closed(p0, p1, eps) <= 1e-8 * opt
 
+    def test_k12_mi_phase2_pivots(self):
+        # Bland's rule alone took over 1900 phase-2 pivots on this LP.
+        rng = np.random.default_rng([99, 12, 0])
+        spec = L.information_preservation(L.make_distribution(rng.dirichlet(np.ones(12))))
+        sol = L.solve(L.build_lp(spec, 0.5))
+        assert sol.pivots[0] > 0
+        assert sol.pivots[1] < 300
+
+    def test_tv_large_eps_fixed_input(self):
+        # On unscaled columns this LP hit the iteration limit: reduced costs
+        # are about e^eps and their rounding error exceeds PIVOT_TOL.
+        rng = np.random.default_rng([7, 6, 1])
+        p0 = L.make_distribution(rng.dirichlet(np.ones(6)))
+        p1 = L.make_distribution(rng.dirichlet(np.ones(6)))
+        sol = L.solve(L.build_lp(L.hypothesis_testing(L.TV, p0, p1), 18.0))
+        e = math.exp(18.0)
+        expected = (e - 1) / (e + 1) * 0.5 * np.abs(p0.probs - p1.probs).sum()
+        assert sol.value == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [4, 6])
+    @pytest.mark.parametrize("eps", [16.0, 20.0, 30.0])
+    def test_tv_large_eps_matches_closed_form(self, k, eps):
+        for i in range(30):
+            rng = np.random.default_rng([13, k, i])
+            p0 = L.make_distribution(rng.dirichlet(np.ones(k)))
+            p1 = L.make_distribution(rng.dirichlet(np.ones(k)))
+            sol = L.solve(L.build_lp(L.hypothesis_testing(L.TV, p0, p1), eps))
+            assert sol.value == pytest.approx(L.binary_tv_closed(p0, p1, eps), abs=1e-12)
+
+    @pytest.mark.parametrize("k", [6, 12])
+    def test_tiny_eps_solves(self, k):
+        rng = np.random.default_rng([5, k])
+        p0 = L.make_distribution(rng.dirichlet(np.ones(k)))
+        p1 = L.make_distribution(rng.dirichlet(np.ones(k)))
+        for spec in (L.hypothesis_testing(L.KL, p0, p1), L.information_preservation(p0)):
+            for eps in (1e-10, 1e-9, 1e-8):
+                sol = L.solve(L.build_lp(spec, eps))
+                assert sol.status is L.LPStatus.OPTIMAL
+                assert 0.0 <= sol.value <= 1e-12
+
     def test_merge_invariance_of_value(self):
         # mass on the all-ones column can move to the all-e^eps column
         # (they are proportional patterns) without changing anything
