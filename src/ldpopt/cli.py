@@ -2,7 +2,8 @@
 check privacy claims, export error-region boundaries, and run the
 benchmark sweeps and the Chernoff-Stein Monte-Carlo estimate.
 
-Exit codes: 0 success, 1 validation failure, 2 I/O error.
+Exit codes: 0 success, 1 validation failure (including a solver failure,
+reported with its utility, k and eps), 2 I/O error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .core import (Distribution, Mechanism, effective_epsilon, induced_marginal,
                    make_distribution, mechanism_from_json, mechanism_to_json)
 from .mechanisms import (binary_ht, binary_mi, geometric, quaternary,
                          randomized_response)
-from .optsolve import MAX_LP_K, build_lp, extract_mechanism, solve
+from .optsolve import (MAX_LP_K, DegenerateBasis, NumericalBreakdown, build_lp,
+                       extract_mechanism, solve)
 from .regions import region_eps_delta, tradeoff_region
 from .utilities import (CHI2, KL, TV, AbsoluteContinuityViolated, f_divergence,
                         hypothesis_testing, information_preservation, utility)
@@ -116,7 +118,12 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     for instance_id in range(cfg.num_instances):
         spec = _instance_priors(cfg, instance_id)
         for eps in cfg.eps_grid:
-            sol = solve(build_lp(spec, eps))
+            try:
+                sol = solve(build_lp(spec, eps))
+            except NumericalBreakdown as exc:
+                raise NumericalBreakdown(
+                    f"utility={cfg.utility} k={cfg.k} eps={eps} seed={cfg.seed} "
+                    f"instance_id={instance_id}: {exc}") from exc
             opt = sol.value
             values = {}
             if {"binary", "mixed"} & set(cfg.mechanisms):
@@ -264,8 +271,11 @@ def cmd_opt(args) -> int:
         spec = hypothesis_testing(FDIV_KINDS[kind], _parse_probs(args.p0),
                                   _parse_probs(args.p1))
     lp = build_lp(spec, args.eps)
-    sol = solve(lp)
-    Q = extract_mechanism(sol, lp)
+    try:
+        sol = solve(lp)
+        Q = extract_mechanism(sol, lp)
+    except (NumericalBreakdown, DegenerateBasis) as exc:
+        raise type(exc)(f"utility={kind} k={lp.k} eps={args.eps}: {exc}") from exc
     if args.out:
         _write_text(args.out, mechanism_to_json(Q, eps_claimed=args.eps,
                                                 delta_claimed=0.0) + "\n")
@@ -434,7 +444,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, ArithmeticError, KeyError, TypeError) as exc:
+    except (ValueError, ArithmeticError, KeyError, TypeError,
+            NumericalBreakdown, DegenerateBasis) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -193,6 +193,8 @@ def pattern_matrix(k: int, eps: float) -> PatternMatrix:
     """Materialize the full staircase pattern matrix for alphabet size k."""
     if not 2 <= k <= MAX_PATTERN_K:
         raise AlphabetTooLarge(f"k={k} outside [2, {MAX_PATTERN_K}]")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got eps={eps} at k={k}")
     if eps < 0:
         raise ValueError("eps must be >= 0")
     mat = _pattern_bits(k) * (math.exp(eps) - 1.0)

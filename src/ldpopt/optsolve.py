@@ -2,18 +2,22 @@
 
 The search space collapses to scalings of the {1, e^eps} pattern columns:
 maximize mu^T theta subject to S theta = 1, theta >= 0, where S is the
-k x 2^k pattern matrix. The LP is solved with a dense two-phase primal
+k x 2^k pattern matrix. The LP is solved with a dense one-phase primal
 simplex; a brute-force vertex enumeration serves as an independent oracle at
 small k.
 
 The simplex runs on pattern columns scaled to a largest entry of 1. Every
 column score is positively homogeneous, so column j scaled by 1/s_j scores
 obj_j / s_j and carries weight theta_j * s_j, which is O(1/k) at every eps.
-Unscaled, entries and reduced costs grow like e^eps while PIVOT_TOL is
-absolute. Phase 1 prices by Bland's rule, whose basis lies next to
-randomized response; phase 2 prices by Dantzig's rule (most improving
-reduced cost) and falls back to Bland's rule after BLAND_AFTER degenerate
-pivots in a row, until a pivot makes progress again.
+Row 0 stays; row x >= 1 becomes (row x - row 0) * e^eps / (e^eps - 1),
+which on the scaled columns is exactly the bit difference bits_x - bits_0,
+so the rows do not collapse together as eps -> 0 and the right-hand side
+is e_0. In these rows the randomized-response columns form a well
+conditioned feasible basis at every eps, so no phase 1 is needed. The
+objective is divided by its largest entry, making PIVOT_TOL relative.
+Pricing is Dantzig's rule (most improving reduced cost), falling back to
+Bland's rule after BLAND_AFTER degenerate pivots in a row, until a pivot
+makes progress again.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import AlphabetTooLarge, PatternMatrix, Mechanism, pattern_matrix
+from .core import (AlphabetTooLarge, PatternMatrix, Mechanism, _pattern_bits,
+                   pattern_matrix)
 from .utilities import UtilitySpec, column_scores
 
 # LP solving is capped at k = 12 (4096 pattern columns).
@@ -32,14 +37,15 @@ MAX_LP_K = 12
 
 PIVOT_TOL = 1e-10
 
-# Basic variables below this threshold are pivot noise, not support.
+# Basic columns whose mass theta_j * s_j (s_j the column's largest entry) is
+# below this threshold are pivot noise, not support.
 EXTRACT_TOL = 1e-10
 
 MAX_ITERATIONS = 200_000
 
-# Phase 2 switches from Dantzig's to Bland's rule after this many degenerate
-# pivots in a row, so it cannot cycle; a step at or below DEGENERATE_STEP in
-# a scaled weight counts as degenerate.
+# The simplex switches from Dantzig's to Bland's rule after this many
+# degenerate pivots in a row, so it cannot cycle; a step at or below
+# DEGENERATE_STEP in a scaled weight counts as degenerate.
 BLAND_AFTER = 50
 DEGENERATE_STEP = 1e-12
 
@@ -53,12 +59,11 @@ class NumericalBreakdown(RuntimeError):
 
 
 class DegenerateBasis(RuntimeError):
-    """More than k columns survived extraction thresholding."""
+    """No basis column survived extraction thresholding."""
 
 
 class LPStatus(Enum):
     OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
 
 
@@ -86,8 +91,8 @@ class LPSolution:
     value: float
     basis: tuple[int, ...]
     status: LPStatus
-    # Simplex pivots taken in phase 1 and in phase 2.
-    pivots: tuple[int, int] = (0, 0)
+    # Simplex pivots taken from the randomized-response basis.
+    pivots: int = 0
 
 
 def build_lp(spec: UtilitySpec, eps: float) -> StaircaseLP:
@@ -110,20 +115,19 @@ def _pivot(T: np.ndarray, r: int, j: int) -> None:
     T[r, j] = 1.0
 
 
-def _run_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, ncols: int,
-                 bland_after: int) -> tuple[LPStatus, int]:
-    """Primal simplex on an already-canonical tableau; returns status and pivots.
+def _run_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> tuple[LPStatus, int]:
+    """Primal simplex on a canonical tableau [A | b]; returns status and pivots.
 
     Entering: the column with the most improving reduced cost (Dantzig),
-    or, once `bland_after` pivots in a row have been degenerate, the
+    or, once BLAND_AFTER pivots in a row have been degenerate, the
     lowest-index improving column (Bland) until a pivot moves the
-    solution. `bland_after=0` is Bland's rule throughout. Leaving: among
-    minimum-ratio rows, the one holding the lowest-index basic variable.
+    solution. Leaving: among minimum-ratio rows, the one holding the
+    lowest-index basic variable.
     """
     degenerate = 0
     for pivots in range(MAX_ITERATIONS):
-        reduced = cost[basis] @ T[:, :ncols] - cost[:ncols]
-        if degenerate >= bland_after:
+        reduced = cost[basis] @ T[:, :-1] - cost
+        if degenerate >= BLAND_AFTER:
             candidates = np.flatnonzero(reduced < -PIVOT_TOL)
             if candidates.size == 0:
                 return LPStatus.OPTIMAL, pivots
@@ -149,84 +153,59 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, ncols: int,
 def solve(lp: StaircaseLP) -> LPSolution:
     """Optimal basic feasible solution of the pattern LP.
 
-    Phase 1 starts from an artificial identity basis and also removes
-    redundant constraint rows (every row is identical at eps = 0); Phase 2
-    maximizes the utility objective over the original columns only. Both
-    run on the unit-max-scaled columns; the refine and the feasibility
-    certificate run on the original pattern matrix.
+    One simplex phase on the scaled difference rows, started from the
+    randomized-response basis, which is feasible at every eps. The final
+    basis is re-solved in the same rows to strip pivot error, and the
+    result must pass the feasibility certificate on the original pattern
+    matrix.
     """
     S = lp.pattern.matrix
-    c = lp.obj
     k, n = S.shape
     scale = S.max(axis=0)
+    bits = _pattern_bits(k)
+    A = np.vstack([S[0] / scale, bits[1:] - bits[0]])
+    rhs = np.zeros(k)
+    rhs[0] = 1.0
 
-    T = np.hstack([S / scale, np.eye(k), np.ones((k, 1))])
-    basis = np.arange(n, n + k)
-    cost1 = np.zeros(n + k)
-    cost1[n:] = -1.0
-    status, pivots1 = _run_simplex(T, basis, cost1, ncols=n + k, bland_after=0)
-    if status is not LPStatus.OPTIMAL:
-        raise NumericalBreakdown("phase 1 did not terminate at an optimum")
-    infeasibility = sum(T[r, -1] for r in range(k) if basis[r] >= n)
-    if infeasibility > 1e-9:
-        return LPSolution(theta=np.zeros(n), value=float("nan"), basis=(),
-                          status=LPStatus.INFEASIBLE, pivots=(pivots1, 0))
-
-    # Drive leftover artificials out of the basis; rows that cannot pivot to
-    # an original column are redundant constraints and are dropped.
-    redundant = []
-    for r in range(k):
-        if basis[r] >= n:
-            pivots = np.flatnonzero(np.abs(T[r, :n]) > PIVOT_TOL)
-            if pivots.size:
-                _pivot(T, r, int(pivots[0]))
-                basis[r] = int(pivots[0])
-            else:
-                redundant.append(r)
-    if redundant:
-        keep = [r for r in range(k) if r not in redundant]
-        T = T[keep]
-        basis = basis[keep]
-    T = np.hstack([T[:, :n], T[:, -1:]])
-
-    status, pivots2 = _run_simplex(T, basis, c / scale, ncols=n, bland_after=BLAND_AFTER)
+    basis = 1 << (k - 1 - np.arange(k))
+    # In these rows the basis has condition number at most 13 (k <= 12), so
+    # its inverse is accurate, and one product costs far less than a solve
+    # with 2^k + 1 right-hand sides.
+    T = np.linalg.inv(A[:, basis]) @ np.column_stack([A, rhs])
+    cost = lp.obj / scale
+    cost /= np.abs(cost).max() or 1.0
+    status, pivots = _run_simplex(T, basis, cost)
     if status is LPStatus.UNBOUNDED:
         # The feasible region is a bounded polytope, so this is numerical.
         raise NumericalBreakdown("no admissible pivot in a bounded LP")
 
     theta = np.zeros(n)
-    theta[basis] = T[:, -1] / scale[basis]
-
-    # Re-solve on the final basis to strip accumulated pivot error.
-    cols = sorted(int(j) for j in set(basis))
-    refined, *_ = np.linalg.lstsq(S[:, cols], np.ones(k), rcond=None)
-    residual = float(np.abs(S[:, cols] @ refined - 1.0).max())
-    if residual <= 1e-9 and refined.min() >= -1e-12:
-        theta = np.zeros(n)
-        theta[cols] = refined
+    theta[basis] = np.linalg.solve(A[:, basis], rhs) / scale[basis]
     if float(np.abs(S @ theta - 1.0).max()) > 1e-9 or theta.min() < -1e-12:
         raise NumericalBreakdown("solution fails its feasibility certificate")
     theta.flags.writeable = False
-    return LPSolution(theta=theta, value=float(c @ theta), basis=tuple(cols),
-                      status=LPStatus.OPTIMAL, pivots=(pivots1, pivots2))
+    return LPSolution(theta=theta, value=float(lp.obj @ theta),
+                      basis=tuple(sorted(int(j) for j in basis)),
+                      status=LPStatus.OPTIMAL, pivots=pivots)
 
 
 def extract_mechanism(sol: LPSolution, lp: StaircaseLP) -> Mechanism:
     """Materialize the optimal mechanism from the solved LP.
 
-    Keeps pattern columns with weight above EXTRACT_TOL, merges columns that
-    are scalar multiples of each other (the all-ones and all-e^eps patterns,
-    or everything at eps = 0), and normalizes rows exactly.
+    Keeps the basis columns whose mass theta_j * s_j (s_j the column's
+    largest entry) exceeds EXTRACT_TOL, weights them by the refined theta,
+    merges columns that are scalar multiples of each other (the all-ones
+    and all-e^eps patterns, or everything at eps = 0), and normalizes rows
+    exactly.
     """
     if sol.status is not LPStatus.OPTIMAL:
         raise ValueError("can only extract from an optimal solution")
     S = lp.pattern.matrix
-    keep = np.flatnonzero(sol.theta > EXTRACT_TOL)
-    if keep.size == 0 or keep.size > lp.k:
-        raise DegenerateBasis(f"{keep.size} columns above threshold, expected 1..{lp.k}")
-    weights, *_ = np.linalg.lstsq(S[:, keep], np.ones(lp.k), rcond=None)
-    weights = np.clip(weights, 0.0, None)
-    cols = [S[:, j] * w for j, w in zip(keep, weights) if w > 0]
+    basis = np.array(sol.basis, dtype=int)
+    keep = basis[sol.theta[basis] * S[:, basis].max(axis=0) > EXTRACT_TOL]
+    if keep.size == 0:
+        raise DegenerateBasis("no basis column carries mass above EXTRACT_TOL")
+    cols = [S[:, j] * sol.theta[j] for j in keep]
 
     merged: list[np.ndarray] = []
     for col in cols:

@@ -109,13 +109,11 @@ def region_from_marginals(M0: Distribution, M1: Distribution) -> TradeoffRegion:
         groups.append((float(a[i:j].sum()), float(b[i:j].sum())))
         i = j
 
-    points = [(0.0, 1.0)]
-    md = 0.0
-    fa = 1.0
-    for ga, gb in groups:
-        md += gb
-        fa -= ga
-        points.append((md, max(fa, 0.0)))
+    ga, gb = np.array(groups).T
+    # The remaining M0 mass is summed from the tail: 1 minus a prefix sum
+    # would lose the e^-eps masses that the privacy line multiplies by e^eps.
+    fa = np.append(np.cumsum(ga[::-1])[::-1][1:], 0.0)
+    points = [(0.0, 1.0)] + list(zip(np.cumsum(gb), fa))
     return TradeoffRegion(_canonical(points))
 
 

@@ -70,6 +70,24 @@ class TestOptCommand:
         value = float(capsys.readouterr().out.strip())
         assert value > 0
 
+    def test_nonfinite_eps_is_validation_error(self, capsys):
+        code = main(["opt", "--utility", "mi", "--eps", "nan", "--p", "0.2,0.3,0.5"])
+        assert code == 1
+        assert "eps=nan" in capsys.readouterr().err
+
+    def test_solver_failure_is_validation_error(self, monkeypatch, capsys):
+        def breakdown(lp):
+            raise L.NumericalBreakdown("simplex iteration limit reached")
+
+        monkeypatch.setattr("ldpopt.cli.solve", breakdown)
+        code = main(["opt", "--utility", "kl", "--eps", "30",
+                     "--p0", "0.5,0.2,0.3", "--p1", "0.1,0.6,0.3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+        assert "utility=kl k=3 eps=30.0" in err
+
 
 class TestCheckCommand:
     def test_valid_mechanism_passes(self, tmp_path, capsys):

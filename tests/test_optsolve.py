@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ldpopt as L
+from ldpopt.optsolve import PIVOT_TOL
 
 
 def _random_specs(rng, k):
@@ -160,8 +161,7 @@ class TestSolve:
         rng = np.random.default_rng([99, 12, 0])
         spec = L.information_preservation(L.make_distribution(rng.dirichlet(np.ones(12))))
         sol = L.solve(L.build_lp(spec, 0.5))
-        assert sol.pivots[0] > 0
-        assert sol.pivots[1] < 300
+        assert 0 < sol.pivots < 300
 
     def test_tv_large_eps_fixed_input(self):
         # On unscaled columns this LP hit the iteration limit: reduced costs
@@ -194,6 +194,33 @@ class TestSolve:
                 sol = L.solve(L.build_lp(spec, eps))
                 assert sol.status is L.LPStatus.OPTIMAL
                 assert 0.0 <= sol.value <= 1e-12
+
+    @pytest.mark.parametrize("k", [3, 6, 12])
+    @pytest.mark.parametrize("utility", ["kl", "mi"])
+    def test_high_privacy_at_least_binary(self, k, utility):
+        # The binary mechanism is feasible, so the optimum is at least its
+        # utility, up to rounding and the stopping rule. Each of the <= k
+        # basic columns carries about 2 eps_mach of score rounding per unit
+        # mass, and the binary utility as much again (4 eps_mach in all).
+        # The stop on the normalized objective leaves at most
+        # PIVOT_TOL * max_j |c_j| / s_j per unit of scaled weight, and the
+        # scaled weights sum to at most k.
+        eps_mach = np.finfo(float).eps
+        for i in range(5):
+            rng = np.random.default_rng([31, k, i])
+            p0 = L.make_distribution(rng.dirichlet(np.ones(k)))
+            p1 = L.make_distribution(rng.dirichlet(np.ones(k)))
+            for eps in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
+                if utility == "kl":
+                    spec = L.hypothesis_testing(L.KL, p0, p1)
+                    binary = L.binary_ht(p0, p1, eps)
+                else:
+                    spec = L.information_preservation(p0)
+                    binary = L.binary_mi(p0, eps)
+                lp = L.build_lp(spec, eps)
+                scaled = np.abs(lp.obj / lp.pattern.matrix.max(axis=0)).max()
+                tol = k * (4 * eps_mach + PIVOT_TOL * scaled)
+                assert L.solve(lp).value >= L.utility(spec, binary) - tol
 
     def test_merge_invariance_of_value(self):
         # mass on the all-ones column can move to the all-e^eps column
@@ -253,6 +280,26 @@ class TestExtract:
                     assert L.is_locally_private(Q, eps, 1e-9)
                     assert L.is_staircase(Q, eps, 1e-7)
                     assert L.utility(spec, Q) == pytest.approx(sol.value, abs=1e-9)
+
+
+    @pytest.mark.parametrize("k, utility, eps", [(3, "kl", 30.0), (4, "tv", 24.0),
+                                                 (6, "chi2", 30.0), (3, "mi", 24.0)])
+    def test_large_eps_extracts(self, k, utility, eps):
+        # theta scales as e^-eps here, so an absolute cut on theta drops
+        # support; the cut is on the column mass theta_j * s_j.
+        rng = np.random.default_rng([7, k, 1])
+        p0 = L.make_distribution(rng.dirichlet(np.ones(k)))
+        p1 = L.make_distribution(rng.dirichlet(np.ones(k)))
+        kinds = {"kl": L.KL, "tv": L.TV, "chi2": L.CHI2}
+        spec = (L.information_preservation(p0) if utility == "mi"
+                else L.hypothesis_testing(kinds[utility], p0, p1))
+        lp = L.build_lp(spec, eps)
+        sol = L.solve(lp)
+        Q = L.extract_mechanism(sol, lp)
+        assert L.is_locally_private(Q, eps)
+        assert L.utility(spec, Q) == pytest.approx(sol.value, abs=1e-9)
+        if k <= 4:
+            assert L.vertex_oracle(lp) == pytest.approx(sol.value, abs=1e-9)
 
 
 class TestVertexOracle:

@@ -107,6 +107,20 @@ class TestContains:
                 assert L.utility(spec, Q1) >= L.utility(spec, Q2) - 1e-9
 
 
+    def test_rr_at_large_eps_respects_privacy_lines(self):
+        # k = 3 randomized response at eps = 30 as `ldpopt opt` writes it.
+        # The e^-eps masses must not be lost to 1 minus a prefix sum: the
+        # privacy lines multiply them by e^eps.
+        eps = 30.0
+        off, diag = 9.357622968838423e-14, 0.9999999999998129
+        Q = L.Mechanism(np.full((3, 3), off) + (diag - off) * np.eye(3))
+        e = math.exp(eps)
+        for x0, x1 in ((0, 1), (1, 2), (2, 0)):
+            for md, fa in L.tradeoff_region(Q, x0, x1).vertices:
+                assert fa + e * md >= 1.0 - 1e-9
+                assert e * fa + md >= 1.0 - 1e-9
+
+
 class TestOperationalCheck:
     def test_quaternary_exact(self):
         assert L.operational_privacy_check(L.quaternary(1.0, 0.1), 1.0, 0.1)
