@@ -33,6 +33,9 @@ PARSE_ROW_SUM_TOL = 1e-9
 # Dense pattern-matrix materialization cap: 2^16 columns.
 MAX_PATTERN_K = 16
 
+# The largest eps whose e^eps is a finite float (about 709.78).
+MAX_EPS = math.log(np.finfo(float).max)
+
 
 class NegativeMass(ValueError):
     """A probability mass was negative."""
@@ -193,10 +196,9 @@ def pattern_matrix(k: int, eps: float) -> PatternMatrix:
     """Materialize the full staircase pattern matrix for alphabet size k."""
     if not 2 <= k <= MAX_PATTERN_K:
         raise AlphabetTooLarge(f"k={k} outside [2, {MAX_PATTERN_K}]")
-    if not math.isfinite(eps):
-        raise ValueError(f"eps must be finite, got eps={eps} at k={k}")
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    if not 0.0 <= eps <= MAX_EPS:
+        raise ValueError(f"eps must lie in [0, {MAX_EPS:.2f}] for a finite e^eps, "
+                         f"got eps={eps} at k={k}")
     mat = _pattern_bits(k) * (math.exp(eps) - 1.0)
     mat += 1.0
     mat.flags.writeable = False

@@ -3,8 +3,8 @@
 The search space collapses to scalings of the {1, e^eps} pattern columns:
 maximize mu^T theta subject to S theta = 1, theta >= 0, where S is the
 k x 2^k pattern matrix. The LP is solved with a dense one-phase primal
-simplex; a brute-force vertex enumeration serves as an independent oracle at
-small k.
+simplex; a brute-force vertex enumeration, one stacked pseudo-inverse over
+every k-column basis, serves as an independent oracle at small k.
 
 The simplex runs on pattern columns scaled to a largest entry of 1. Every
 column score is positively homogeneous, so column j scaled by 1/s_j scores
@@ -35,7 +35,18 @@ from .utilities import UtilitySpec, column_scores
 # LP solving is capped at k = 12 (4096 pattern columns).
 MAX_LP_K = 12
 
+# The vertex oracle solves all C(2^k, k) bases at once: 1,820 at k = 4, but
+# 201,376 at k = 5, where one call took 1.2 s and 250 MB (one BLAS thread).
+MAX_ORACLE_K = 4
+
 PIVOT_TOL = 1e-10
+
+# solve's feasibility certificate on the original S. S theta holds the
+# mechanism's row sums before normalization, so it gets the wire format's
+# 1e-9 row-sum gate. The scaled weights are at most 1 and come from a well
+# conditioned basis, so a weight below -1e-12 marks an infeasible basis.
+CERT_RESIDUAL_TOL = 1e-9
+CERT_NEG_TOL = 1e-12
 
 # Basic columns whose mass theta_j * s_j (s_j the column's largest entry) is
 # below this threshold are pivot noise, not support.
@@ -64,7 +75,6 @@ class DegenerateBasis(RuntimeError):
 
 class LPStatus(Enum):
     OPTIMAL = "optimal"
-    UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
@@ -115,14 +125,16 @@ def _pivot(T: np.ndarray, r: int, j: int) -> None:
     T[r, j] = 1.0
 
 
-def _run_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> tuple[LPStatus, int]:
-    """Primal simplex on a canonical tableau [A | b]; returns status and pivots.
+def _run_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> int:
+    """Primal simplex on a canonical tableau [A | b]; returns the pivot count.
 
     Entering: the column with the most improving reduced cost (Dantzig),
     or, once BLAND_AFTER pivots in a row have been degenerate, the
     lowest-index improving column (Bland) until a pivot moves the
     solution. Leaving: among minimum-ratio rows, the one holding the
-    lowest-index basic variable.
+    lowest-index basic variable. The feasible region is a bounded
+    polytope, so an entering column with no admissible row is numerical
+    breakdown.
     """
     degenerate = 0
     for pivots in range(MAX_ITERATIONS):
@@ -130,16 +142,16 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> tuple[LP
         if degenerate >= BLAND_AFTER:
             candidates = np.flatnonzero(reduced < -PIVOT_TOL)
             if candidates.size == 0:
-                return LPStatus.OPTIMAL, pivots
+                return pivots
             j = int(candidates[0])
         else:
             j = int(np.argmin(reduced))
             if reduced[j] >= -PIVOT_TOL:
-                return LPStatus.OPTIMAL, pivots
+                return pivots
         col = T[:, j]
         rows = np.flatnonzero(col > PIVOT_TOL)
         if rows.size == 0:
-            return LPStatus.UNBOUNDED, pivots
+            raise NumericalBreakdown("no admissible pivot in a bounded LP")
         ratios = T[rows, -1] / col[rows]
         rmin = float(ratios.min())
         ties = rows[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]
@@ -148,6 +160,14 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> tuple[LP
         basis[r] = j
         degenerate = degenerate + 1 if rmin <= DEGENERATE_STEP else 0
     raise NumericalBreakdown("simplex iteration limit reached")
+
+
+def _difference_rows(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows A and column scales s with S theta = 1 iff A (theta * s) = e_0
+    at eps > 0: row 0 of S / s above the eps-free bit differences."""
+    scale = S.max(axis=0)
+    bits = _pattern_bits(S.shape[0])
+    return np.vstack([S[0] / scale, bits[1:] - bits[0]]), scale
 
 
 def solve(lp: StaircaseLP) -> LPSolution:
@@ -161,9 +181,7 @@ def solve(lp: StaircaseLP) -> LPSolution:
     """
     S = lp.pattern.matrix
     k, n = S.shape
-    scale = S.max(axis=0)
-    bits = _pattern_bits(k)
-    A = np.vstack([S[0] / scale, bits[1:] - bits[0]])
+    A, scale = _difference_rows(S)
     rhs = np.zeros(k)
     rhs[0] = 1.0
 
@@ -174,14 +192,12 @@ def solve(lp: StaircaseLP) -> LPSolution:
     T = np.linalg.inv(A[:, basis]) @ np.column_stack([A, rhs])
     cost = lp.obj / scale
     cost /= np.abs(cost).max() or 1.0
-    status, pivots = _run_simplex(T, basis, cost)
-    if status is LPStatus.UNBOUNDED:
-        # The feasible region is a bounded polytope, so this is numerical.
-        raise NumericalBreakdown("no admissible pivot in a bounded LP")
+    pivots = _run_simplex(T, basis, cost)
 
     theta = np.zeros(n)
     theta[basis] = np.linalg.solve(A[:, basis], rhs) / scale[basis]
-    if float(np.abs(S @ theta - 1.0).max()) > 1e-9 or theta.min() < -1e-12:
+    if (float(np.abs(S @ theta - 1.0).max()) > CERT_RESIDUAL_TOL
+            or theta.min() < -CERT_NEG_TOL):
         raise NumericalBreakdown("solution fails its feasibility certificate")
     theta.flags.writeable = False
     return LPSolution(theta=theta, value=float(lp.obj @ theta),
@@ -193,68 +209,47 @@ def extract_mechanism(sol: LPSolution, lp: StaircaseLP) -> Mechanism:
     """Materialize the optimal mechanism from the solved LP.
 
     Keeps the basis columns whose mass theta_j * s_j (s_j the column's
-    largest entry) exceeds EXTRACT_TOL, weights them by the refined theta,
-    merges columns that are scalar multiples of each other (the all-ones
-    and all-e^eps patterns, or everything at eps = 0), and normalizes rows
-    exactly.
+    largest entry) exceeds EXTRACT_TOL and weights them by theta. Two
+    distinct {1, e^eps} columns are proportional only when both are
+    constant (the all-ones and all-e^eps patterns, or every pattern at
+    eps = 0), so the kept constant columns are summed into one output.
+    Rows are then normalized exactly.
     """
-    if sol.status is not LPStatus.OPTIMAL:
-        raise ValueError("can only extract from an optimal solution")
     S = lp.pattern.matrix
     basis = np.array(sol.basis, dtype=int)
     keep = basis[sol.theta[basis] * S[:, basis].max(axis=0) > EXTRACT_TOL]
     if keep.size == 0:
         raise DegenerateBasis("no basis column carries mass above EXTRACT_TOL")
-    cols = [S[:, j] * sol.theta[j] for j in keep]
-
-    merged: list[np.ndarray] = []
-    for col in cols:
-        direction = col / col.sum()
-        for i, existing in enumerate(merged):
-            if np.abs(existing / existing.sum() - direction).max() <= 1e-9:
-                merged[i] = existing + col
-                break
-        else:
-            merged.append(col)
-
-    rows = np.column_stack(merged)
-    rows = rows / rows.sum(axis=1, keepdims=True)
-    return Mechanism(rows)
+    pat = S[:, keep]
+    cols = pat * sol.theta[keep]
+    const = pat.min(axis=0) == pat.max(axis=0)
+    if const.any():
+        cols = np.column_stack([cols[:, ~const], cols[:, const].sum(axis=1)])
+    return Mechanism(cols / cols.sum(axis=1, keepdims=True))
 
 
 def vertex_oracle(lp: StaircaseLP) -> float:
-    """Brute-force optimum by enumerating candidate basic feasible solutions.
+    """Brute-force optimum over the basic solutions of every k-column basis.
 
-    Every vertex of {theta : S theta = 1, theta >= 0} is supported on at
-    most k linearly independent columns, so trying every column subset of
-    size <= k and keeping the consistent nonnegative solutions is exact.
-    Only intended for k <= 4.
+    For eps > 0, S has rank k, so every vertex of {theta : S theta = 1,
+    theta >= 0} is the basic solution of a nonsingular k-column basis. All
+    C(2^k, k) bases are solved at once by one stacked pseudo-inverse in the
+    difference rows, which stay well conditioned as eps -> 0; a singular
+    basis gets a least-squares solution, not an error. A candidate must pass
+    ORACLE_RESIDUAL_TOL on the original S and ORACLE_NEG_TOL on its column
+    masses theta_j * s_j. At eps = 0 every score is zero.
     """
-    if lp.k > 4:
-        raise AlphabetTooLarge("vertex oracle is capped at k=4")
+    if lp.k > MAX_ORACLE_K:
+        raise AlphabetTooLarge(f"vertex oracle is capped at k={MAX_ORACLE_K}")
     S = lp.pattern.matrix
     k, n = S.shape
-    ones = np.ones(k)
-    colmax = S.max(axis=0)
-    best = -np.inf
-    for size in range(1, k + 1):
-        for subset in itertools.combinations(range(n), size):
-            idx = list(subset)
-            A = S[:, idx]
-            if size == k:
-                try:
-                    th = np.linalg.solve(A, ones)
-                except np.linalg.LinAlgError:
-                    th, *_ = np.linalg.lstsq(A, ones, rcond=None)
-            else:
-                th, *_ = np.linalg.lstsq(A, ones, rcond=None)
-            if not np.all(np.isfinite(th)):
-                continue
-            if np.abs(A @ th - 1.0).max() > ORACLE_RESIDUAL_TOL:
-                continue
-            # Judge each weight by the mass it puts in its column: e^eps
-            # magnifies a slightly negative weight on an e^eps entry.
-            if (th * colmax[idx]).min() < -ORACLE_NEG_TOL:
-                continue
-            best = max(best, float(lp.obj[idx] @ th))
-    return best
+    A, scale = _difference_rows(S)
+    subsets = np.array(list(itertools.combinations(range(n), k)))
+    # Column 0 of each pseudo-inverse solves its basis for the right side e_0.
+    mass = np.linalg.pinv(A[:, subsets].transpose(1, 0, 2))[:, :, 0]
+    theta = mass / scale[subsets]
+    residual = np.abs(np.einsum("xmj,mj->mx", S[:, subsets], theta) - 1.0).max(axis=1)
+    # Judge each weight by the mass it puts in its column: e^eps magnifies
+    # a slightly negative weight on an e^eps entry.
+    ok = (residual <= ORACLE_RESIDUAL_TOL) & (mass.min(axis=1) >= -ORACLE_NEG_TOL)
+    return float((lp.obj[subsets][ok] * theta[ok]).sum(axis=1).max(initial=-np.inf))

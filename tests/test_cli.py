@@ -75,6 +75,14 @@ class TestOptCommand:
         assert code == 1
         assert "eps=nan" in capsys.readouterr().err
 
+    def test_overflowing_eps_is_validation_error(self, capsys):
+        code = main(["opt", "--utility", "kl", "--eps", "800",
+                     "--p0", "0.5,0.2,0.3", "--p1", "0.1,0.6,0.3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "k=3" in err and "eps=800" in err
+
     def test_solver_failure_is_validation_error(self, monkeypatch, capsys):
         def breakdown(lp):
             raise L.NumericalBreakdown("simplex iteration limit reached")

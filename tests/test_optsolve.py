@@ -240,12 +240,30 @@ class TestSolve:
 
 class TestExtract:
     def test_eps0_single_column(self):
-        spec = L.hypothesis_testing(L.KL, L.make_distribution([0.7, 0.3]),
-                                    L.make_distribution([0.3, 0.7]))
-        lp = L.build_lp(spec, 0.0)
-        Q = L.extract_mechanism(L.solve(lp), lp)
+        specs = [L.hypothesis_testing(L.KL, L.make_distribution([0.7, 0.3]),
+                                      L.make_distribution([0.3, 0.7])),
+                 *_random_specs(np.random.default_rng([32, 3]), 3),
+                 *_random_specs(np.random.default_rng([32, 6]), 6)]
+        for spec in specs:
+            lp = L.build_lp(spec, 0.0)
+            Q = L.extract_mechanism(L.solve(lp), lp)
+            assert Q.l == 1
+            np.testing.assert_allclose(Q.rows, 1.0, atol=1e-12)
+
+    def test_constant_columns_merge(self):
+        # The all-ones and all-e^eps columns are the only proportional
+        # pair at eps > 0; weight on both is one output.
+        k, e = 3, math.exp(1.0)
+        spec = L.information_preservation(L.make_distribution([0.2, 0.3, 0.5]))
+        lp = L.build_lp(spec, 1.0)
+        n = lp.num_columns
+        theta = np.zeros(n)
+        theta[0], theta[n - 1] = 0.5, 0.5 / e
+        sol = L.LPSolution(theta=theta, value=float(lp.obj @ theta),
+                           basis=(0, n - 1), status=L.LPStatus.OPTIMAL)
+        Q = L.extract_mechanism(sol, lp)
         assert Q.l == 1
-        np.testing.assert_allclose(Q.rows, 1.0, atol=1e-12)
+        np.testing.assert_allclose(Q.rows, np.ones((k, 1)), atol=1e-15)
 
     def test_k2_kl_recovers_randomized_response(self):
         spec = L.hypothesis_testing(L.KL, L.make_distribution([0.7, 0.3]),
@@ -323,8 +341,30 @@ class TestVertexOracle:
             L.binary_tv_closed(p0, p1, 30.0), abs=1e-12)
 
     def test_eps0_is_zero(self):
-        spec = L.information_preservation(L.make_distribution([0.3, 0.7]))
-        assert L.vertex_oracle(L.build_lp(spec, 0.0)) == pytest.approx(0.0, abs=1e-12)
+        # At eps = 0 every k-column basis is singular; the uniform split
+        # over the basis is the feasible least-squares solution.
+        specs = [L.information_preservation(L.make_distribution([0.3, 0.7]))]
+        for k in (3, 4):
+            kl, tv, mi = _random_specs(np.random.default_rng([33, k]), k)
+            chi2 = L.hypothesis_testing(L.CHI2, kl.p0, kl.p1)
+            specs += [kl, tv, chi2, mi]
+        for spec in specs:
+            assert L.vertex_oracle(L.build_lp(spec, 0.0)) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_tiny_eps_matches_solver(self, k):
+        # The bases of S have condition numbers near 1/eps here; solved in
+        # the rows of S, the useful vertices fail the residual test.
+        uniform = L.make_distribution(np.ones(k) / k)
+        specs = [*_random_specs(np.random.default_rng([34, k]), k),
+                 L.hypothesis_testing(L.KL, uniform, uniform)]
+        for spec in specs:
+            for eps in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+                lp = L.build_lp(spec, eps)
+                # solve may stop k * PIVOT_TOL short on the scaled scores.
+                scaled = np.abs(lp.obj / lp.pattern.matrix.max(axis=0)).max()
+                assert L.vertex_oracle(lp) == pytest.approx(
+                    L.solve(lp).value, rel=1e-9, abs=k * PIVOT_TOL * scaled + 1e-15)
 
     def test_cap(self):
         spec = L.information_preservation(L.Distribution(np.full(5, 0.2)))
