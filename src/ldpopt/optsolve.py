@@ -2,7 +2,7 @@
 
 The search space collapses to scalings of the {1, e^eps} pattern columns:
 maximize mu^T theta subject to S theta = 1, theta >= 0, where S is the
-k x 2^k pattern matrix. The LP is solved with a dense one-phase primal
+k x 2^k pattern matrix. The LP is solved with a one-phase revised primal
 simplex; a brute-force vertex enumeration, one stacked pseudo-inverse over
 every k-column basis, serves as an independent oracle at small k.
 
@@ -15,9 +15,12 @@ so the rows do not collapse together as eps -> 0 and the right-hand side
 is e_0. In these rows the randomized-response columns form a well
 conditioned feasible basis at every eps, so no phase 1 is needed. The
 objective is divided by its largest entry, making PIVOT_TOL relative.
-Pricing is Dantzig's rule (most improving reduced cost), falling back to
-Bland's rule after BLAND_AFTER degenerate pivots in a row, until a pivot
-makes progress again.
+The simplex keeps only the k x k inverse of its basis, so pricing all 2^k
+columns is the one O(k 2^k) product a pivot takes (Bertsimas and
+Tsitsiklis, Introduction to Linear Optimization, sec. 3.3). Pricing is
+Dantzig's rule (most improving reduced cost), falling back to Bland's rule
+after BLAND_AFTER degenerate pivots in a row, until a pivot makes progress
+again.
 """
 
 from __future__ import annotations
@@ -116,29 +119,23 @@ def build_lp(spec: UtilitySpec, eps: float) -> StaircaseLP:
     return StaircaseLP(k=k, eps=eps, obj=obj, pattern=pat)
 
 
-def _pivot(T: np.ndarray, r: int, j: int) -> None:
-    T[r] /= T[r, j]
-    col = T[:, j].copy()
-    col[r] = 0.0
-    T -= np.outer(col, T[r])
-    T[:, j] = 0.0
-    T[r, j] = 1.0
+def _run_simplex(A: np.ndarray, Binv: np.ndarray, basis: np.ndarray,
+                 cost: np.ndarray) -> int:
+    """Revised primal simplex on A theta = e_0; returns the pivot count.
 
-
-def _run_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> int:
-    """Primal simplex on a canonical tableau [A | b]; returns the pivot count.
-
-    Entering: the column with the most improving reduced cost (Dantzig),
-    or, once BLAND_AFTER pivots in a row have been degenerate, the
-    lowest-index improving column (Bland) until a pivot moves the
-    solution. Leaving: among minimum-ratio rows, the one holding the
-    lowest-index basic variable. The feasible region is a bounded
-    polytope, so an entering column with no admissible row is numerical
-    breakdown.
+    Binv is the inverse of the basis columns A[:, basis]; each pivot prices
+    every column through it and updates it in place by the pivot's row
+    operations, so the basic solution is always Binv[:, 0]. Entering: the
+    column with the most improving reduced cost (Dantzig), or, once
+    BLAND_AFTER pivots in a row have been degenerate, the lowest-index
+    improving column (Bland) until a pivot moves the solution. Leaving:
+    among minimum-ratio rows, the one holding the lowest-index basic
+    variable. The feasible region is a bounded polytope, so an entering
+    column with no admissible row is numerical breakdown.
     """
     degenerate = 0
     for pivots in range(MAX_ITERATIONS):
-        reduced = cost[basis] @ T[:, :-1] - cost
+        reduced = (cost[basis] @ Binv) @ A - cost
         if degenerate >= BLAND_AFTER:
             candidates = np.flatnonzero(reduced < -PIVOT_TOL)
             if candidates.size == 0:
@@ -148,15 +145,17 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> int:
             j = int(np.argmin(reduced))
             if reduced[j] >= -PIVOT_TOL:
                 return pivots
-        col = T[:, j]
-        rows = np.flatnonzero(col > PIVOT_TOL)
+        d = Binv @ A[:, j]
+        rows = np.flatnonzero(d > PIVOT_TOL)
         if rows.size == 0:
             raise NumericalBreakdown("no admissible pivot in a bounded LP")
-        ratios = T[rows, -1] / col[rows]
+        ratios = Binv[rows, 0] / d[rows]
         rmin = float(ratios.min())
         ties = rows[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]
         r = int(ties[np.argmin(basis[ties])])
-        _pivot(T, r, j)
+        Binv[r] /= d[r]
+        d[r] = 0.0
+        Binv -= np.outer(d, Binv[r])
         basis[r] = j
         degenerate = degenerate + 1 if rmin <= DEGENERATE_STEP else 0
     raise NumericalBreakdown("simplex iteration limit reached")
@@ -187,12 +186,11 @@ def solve(lp: StaircaseLP) -> LPSolution:
 
     basis = 1 << (k - 1 - np.arange(k))
     # In these rows the basis has condition number at most 13 (k <= 12), so
-    # its inverse is accurate, and one product costs far less than a solve
-    # with 2^k + 1 right-hand sides.
-    T = np.linalg.inv(A[:, basis]) @ np.column_stack([A, rhs])
+    # its explicit inverse is accurate.
+    Binv = np.linalg.inv(A[:, basis])
     cost = lp.obj / scale
     cost /= np.abs(cost).max() or 1.0
-    pivots = _run_simplex(T, basis, cost)
+    pivots = _run_simplex(A, Binv, basis, cost)
 
     theta = np.zeros(n)
     theta[basis] = np.linalg.solve(A[:, basis], rhs) / scale[basis]

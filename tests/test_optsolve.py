@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import ldpopt as L
-from ldpopt.optsolve import PIVOT_TOL
+from ldpopt import optsolve
+from ldpopt.optsolve import PIVOT_TOL, _difference_rows, _run_simplex
 
 
 def _random_specs(rng, k):
@@ -222,6 +223,47 @@ class TestSolve:
                 tol = k * (4 * eps_mach + PIVOT_TOL * scaled)
                 assert L.solve(lp).value >= L.utility(spec, binary) - tol
 
+    @pytest.mark.parametrize("k", [3, 6, 12])
+    def test_returned_basis_prices_out(self, k):
+        # Re-price the returned basis from a fresh solve of its dual, not
+        # from the simplex's updated basis inverse. The simplex stops at
+        # PIVOT_TOL; drift in its inverse may add at most as much again.
+        for i in range(3):
+            rng = np.random.default_rng([41, k, i])
+            p0 = L.make_distribution(rng.dirichlet(np.ones(k)))
+            p1 = L.make_distribution(rng.dirichlet(np.ones(k)))
+            specs = [L.hypothesis_testing(kind, p0, p1) for kind in (L.KL, L.TV, L.CHI2)]
+            for spec in [*specs, L.information_preservation(p0)]:
+                for eps in (1e-6, 0.01, 0.5, 2.0, 8.0, 20.0, 30.0):
+                    lp = L.build_lp(spec, eps)
+                    A, scale = _difference_rows(lp.pattern.matrix)
+                    cost = lp.obj / scale
+                    cost /= np.abs(cost).max() or 1.0
+                    basis = list(L.solve(lp).basis)
+                    y = np.linalg.solve(A[:, basis].T, cost[basis])
+                    assert (y @ A - cost).min() >= -2 * PIVOT_TOL
+
+    @pytest.mark.parametrize("k, priors", [(8, 4), (12, 1)])
+    def test_matches_highs(self, k, priors):
+        # Beyond the vertex oracle's reach. HiGHS's tolerances are absolute,
+        # so it gets the scores scaled to a largest entry of 1. One HiGHS
+        # call takes about 6 ms at k = 8 but 60-160 ms at k = 12.
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        for i in range(priors):
+            rng = np.random.default_rng([89, k, i])
+            p0 = L.make_distribution(rng.dirichlet(np.ones(k)))
+            p1 = L.make_distribution(rng.dirichlet(np.ones(k)))
+            for spec in (L.hypothesis_testing(L.KL, p0, p1),
+                         L.hypothesis_testing(L.CHI2, p0, p1),
+                         L.information_preservation(p0)):
+                for eps in (0.5, 2.0, 8.0):
+                    lp = L.build_lp(spec, eps)
+                    top = np.abs(lp.obj).max()
+                    res = linprog(-lp.obj / top, A_eq=lp.pattern.matrix, b_eq=lp.rhs,
+                                  bounds=(0, None), method="highs")
+                    assert res.status == 0
+                    assert L.solve(lp).value == pytest.approx(-res.fun * top, rel=1e-9)
+
     def test_merge_invariance_of_value(self):
         # mass on the all-ones column can move to the all-e^eps column
         # (they are proportional patterns) without changing anything
@@ -236,6 +278,24 @@ class TestSolve:
         moved[0] = 0.0
         np.testing.assert_allclose(lp.pattern.matrix @ moved, 1.0, atol=1e-9)
         assert lp.obj @ moved == pytest.approx(sol.value, abs=1e-12)
+
+
+class TestSimplexBreakdown:
+    def test_no_admissible_pivot(self):
+        # Column 2 improves the objective but has no positive entry in the
+        # basis's rows, which only an unbounded LP allows.
+        A = np.array([[1.0, 0.0, -1.0],
+                      [0.0, 1.0, 0.0]])
+        with pytest.raises(L.NumericalBreakdown, match="no admissible pivot"):
+            _run_simplex(A, np.eye(2), np.array([0, 1]), np.array([0.0, 0.0, 1.0]))
+
+    def test_iteration_limit(self, monkeypatch):
+        # The LP of test_k12_mi_phase2_pivots needs more than one pivot.
+        monkeypatch.setattr(optsolve, "MAX_ITERATIONS", 1)
+        rng = np.random.default_rng([99, 12, 0])
+        spec = L.information_preservation(L.make_distribution(rng.dirichlet(np.ones(12))))
+        with pytest.raises(L.NumericalBreakdown, match="simplex iteration limit reached"):
+            L.solve(L.build_lp(spec, 0.5))
 
 
 class TestExtract:
