@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, Distribution, Mechanism, induced_marginal
+from .core import DimensionMismatch, Distribution, Mechanism, exp_eps, induced_marginal
 from .mechanisms import binary_ht, binary_mi, ht_partition, mi_partition
 from .optsolve import build_lp, solve
 from .utilities import (KL, TV, UtilitySpec, entropy, f_divergence,
@@ -50,7 +50,7 @@ def _require_pair(P0: Distribution, P1: Distribution) -> None:
 def binary_kl_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
     """Exact KL divergence of the induced marginals under the two-output split."""
     _require_pair(P0, P1)
-    e = math.exp(eps)
+    e = exp_eps(eps)
     split = ht_partition(P0, P1)
     t0, t1 = split.mass, P1.mass(split.members)
     total = 0.0
@@ -63,7 +63,7 @@ def binary_kl_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
 def rr_kl_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
     """Exact KL divergence of the induced marginals under randomized response."""
     _require_pair(P0, P1)
-    e = math.exp(eps)
+    e = exp_eps(eps)
     a = P0.probs * (e - 1) + 1
     b = P1.probs * (e - 1) + 1
     return float((a * np.log(a / b)).sum() / (e + P0.k - 1))
@@ -72,7 +72,7 @@ def rr_kl_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
 def binary_tv_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
     """Exact (and optimal for every eps) total variation through the split."""
     _require_pair(P0, P1)
-    e = math.exp(eps)
+    e = exp_eps(eps)
     return (e - 1) / (e + 1) * f_divergence(TV, P0, P1)
 
 
@@ -80,7 +80,7 @@ def binary_mi_closed(P: Distribution, eps: float) -> float:
     """Exact mutual information of the two-output information split."""
     if not P.is_positive:
         raise ValueError("prior must be positive")
-    e = math.exp(eps)
+    e = exp_eps(eps)
     t = mi_partition(P).mass
     tc = 1.0 - t
     return (
@@ -93,7 +93,7 @@ def rr_mi_closed(P: Distribution, eps: float) -> float:
     """Exact mutual information under randomized response."""
     if not P.is_positive:
         raise ValueError("prior must be positive")
-    e = math.exp(eps)
+    e = exp_eps(eps)
     a = P.probs * (e - 1) + 1
     return float((P.probs * e * np.log(e / a) + (1 - P.probs) * np.log(1 / a)).sum()
                  / (e + P.k - 1))
@@ -128,7 +128,7 @@ def converse_suite(P0: Distribution, P1: Distribution, Q: Mechanism,
     are only meaningful in their own regimes.
     """
     _require_pair(P0, P1)
-    e = math.exp(eps)
+    e = exp_eps(eps)
     M0 = induced_marginal(P0, Q)
     M1 = induced_marginal(P1, Q)
     kl01 = f_divergence(KL, M0, M1)
@@ -159,6 +159,7 @@ def mi_converse_suite(P: Distribution, Q: Mechanism, eps: float) -> list[BoundRe
         raise ValueError("prior must be positive")
     if P.k != Q.k:
         raise DimensionMismatch("prior and mechanism disagree on k")
+    exp_eps(eps)
     mi = mutual_information(P, Q)
     h = entropy(P)
     t = mi_partition(P).mass
@@ -184,7 +185,7 @@ def approximation_checks(spec: UtilitySpec, eps: float) -> BoundReport:
     MI: BIN >= OPT / (1 + e^eps), stated for eps <= 1.
     OPT comes from the LP, so `build_lp`'s alphabet cap applies.
     """
-    e = math.exp(eps)
+    e = exp_eps(eps)
     opt = solve(build_lp(spec, eps)).value
     if spec.objective == "mi":
         bin_value = binary_mi_closed(spec.p, eps)
@@ -206,7 +207,7 @@ def marginal_ratio_bounds(P0: Distribution, P1: Distribution, Q: Mechanism,
     _require_pair(P0, P1)
     if P0.k != Q.k:
         raise DimensionMismatch("priors and mechanism disagree on k")
-    e = math.exp(eps)
+    e = exp_eps(eps)
     split = ht_partition(P0, P1)
     t0, t1 = split.mass, P1.mass(split.members)
     upper = ((e - 1) * t0 + 1) / ((e - 1) * t1 + 1)
@@ -224,6 +225,5 @@ def marginal_ratio_bounds(P0: Distribution, P1: Distribution, Q: Mechanism,
 
 def binary_utility(spec: UtilitySpec, eps: float) -> float:
     """Utility achieved by the matching two-output mechanism (direct path)."""
-    if spec.objective == "mi":
-        return mutual_information(spec.p, binary_mi(spec.p, eps))
-    return utility(spec, binary_ht(spec.p0, spec.p1, eps))
+    return utility(spec, binary_mi(spec.p, eps) if spec.objective == "mi"
+                   else binary_ht(spec.p0, spec.p1, eps))

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import converse_suite, mi_converse_suite
-from .core import (Distribution, Mechanism, effective_epsilon, induced_marginal,
-                   is_approx_private, is_locally_private, is_staircase,
-                   make_distribution, mechanism_from_json, mechanism_to_json)
+from .bounds import binary_utility, converse_suite, mi_converse_suite
+from .core import (Distribution, Mechanism, effective_epsilon, exp_eps,
+                   induced_marginal, is_approx_private, is_locally_private,
+                   is_staircase, make_distribution, mechanism_from_json,
+                   mechanism_to_json)
 from .mechanisms import (binary_ht, binary_mi, geometric, quaternary,
                          randomized_response)
 from .optsolve import (MAX_LP_K, DegenerateBasis, NumericalBreakdown, build_lp,
@@ -70,8 +71,10 @@ class SweepConfig:
             raise ValueError("seed must be a nonnegative integer")
         if self.num_instances < 1:
             raise ValueError("need at least one instance")
-        if not self.eps_grid or any(e < 0 for e in self.eps_grid):
-            raise ValueError("eps grid must be nonempty with eps >= 0")
+        if not self.eps_grid:
+            raise ValueError("eps grid must be nonempty")
+        for eps in self.eps_grid:
+            exp_eps(eps)
         if self.utility not in ("kl", "tv", "chi2", "mi"):
             raise ValueError(f"unknown utility {self.utility!r}")
         bad = set(self.mechanisms) - set(SWEEP_MECHANISMS)
@@ -127,9 +130,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
             opt = sol.value
             values = {}
             if {"binary", "mixed"} & set(cfg.mechanisms):
-                mech = (binary_mi(spec.p, eps) if cfg.utility == "mi"
-                        else binary_ht(spec.p0, spec.p1, eps))
-                values["binary"] = utility(spec, mech)
+                values["binary"] = binary_utility(spec, eps)
             if {"rr", "mixed"} & set(cfg.mechanisms):
                 values["rr"] = utility(spec, randomized_response(cfg.k, eps))
             if "geometric" in cfg.mechanisms and eps > 0:
@@ -270,12 +271,12 @@ def cmd_opt(args) -> int:
     else:
         spec = hypothesis_testing(FDIV_KINDS[kind], _parse_probs(args.p0),
                                   _parse_probs(args.p1))
-    lp = build_lp(spec, args.eps)
     try:
+        lp = build_lp(spec, args.eps)
         sol = solve(lp)
         Q = extract_mechanism(sol, lp)
-    except (NumericalBreakdown, DegenerateBasis) as exc:
-        raise type(exc)(f"utility={kind} k={lp.k} eps={args.eps}: {exc}") from exc
+    except (ValueError, NumericalBreakdown, DegenerateBasis) as exc:
+        raise type(exc)(f"utility={kind} k={spec.k} eps={args.eps}: {exc}") from exc
     if args.out:
         _write_text(args.out, mechanism_to_json(Q, eps_claimed=args.eps,
                                                 delta_claimed=0.0) + "\n")
@@ -288,6 +289,8 @@ def cmd_check(args) -> int:
     Q = record.mechanism
     eps = args.eps if args.eps is not None else record.eps_claimed
     delta = args.delta if args.delta is not None else (record.delta_claimed or 0.0)
+    if eps is not None:
+        exp_eps(eps, delta)
     print(f"k={Q.k} l={Q.l}")
     print(f"effective_epsilon={_fmt(effective_epsilon(Q))}")
     ok = True

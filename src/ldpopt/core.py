@@ -57,6 +57,18 @@ class MechanismFormatError(ValueError):
     """Serialized mechanism violates the wire format."""
 
 
+def exp_eps(eps: float, delta: float = 0.0) -> float:
+    """e^eps for a valid privacy level: 0 <= eps <= MAX_EPS, 0 <= delta <= 1.
+
+    The one check of (eps, delta) in the package; NaN fails it. Raises a
+    ValueError naming both values.
+    """
+    if not (0.0 <= eps <= MAX_EPS and 0.0 <= delta <= 1.0):
+        raise ValueError(f"need eps in [0, {MAX_EPS:.2f}] and delta in [0, 1], "
+                         f"got eps={eps}, delta={delta}")
+    return math.exp(eps)
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.flags.writeable = False
@@ -161,10 +173,7 @@ class PrivacyLevel:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not (self.eps >= 0):
-            raise ValueError("eps must be >= 0")
-        if not (0.0 <= self.delta <= 1.0):
-            raise ValueError("delta must lie in [0, 1]")
+        exp_eps(self.eps, self.delta)
 
 
 @dataclass(frozen=True)
@@ -196,10 +205,7 @@ def pattern_matrix(k: int, eps: float) -> PatternMatrix:
     """Materialize the full staircase pattern matrix for alphabet size k."""
     if not 2 <= k <= MAX_PATTERN_K:
         raise AlphabetTooLarge(f"k={k} outside [2, {MAX_PATTERN_K}]")
-    if not 0.0 <= eps <= MAX_EPS:
-        raise ValueError(f"eps must lie in [0, {MAX_EPS:.2f}] for a finite e^eps, "
-                         f"got eps={eps} at k={k}")
-    mat = _pattern_bits(k) * (math.exp(eps) - 1.0)
+    mat = _pattern_bits(k) * (exp_eps(eps) - 1.0)
     mat += 1.0
     mat.flags.writeable = False
     return PatternMatrix(k=k, eps=eps, matrix=mat)
@@ -221,10 +227,11 @@ def is_locally_private(Q: Mechanism, eps: float, tol: float = DEFAULT_RATIO_TOL)
     output y and ordered input pair (x, x'). Singleton outputs suffice;
     a column mixing zero and nonzero masses fails for any finite eps.
     """
-    if eps < 0 or tol <= 0:
-        raise ValueError("need eps >= 0 and tol > 0")
+    e = exp_eps(eps)
+    if tol <= 0:
+        raise ValueError(f"need tol > 0, got tol={tol}")
     rows = Q.rows
-    bound = math.exp(eps) * rows[None, :, :] * (1.0 + tol) + ABS_FLOOR
+    bound = e * rows[None, :, :] * (1.0 + tol) + ABS_FLOOR
     return bool(np.all(rows[:, None, :] <= bound))
 
 
@@ -236,10 +243,9 @@ def is_approx_private(Q: Mechanism, eps: float, delta: float,
     S* = {y : Q(y|x) > e^eps Q(y|x')} since each output contributes
     independently and positively; the check is Q(S*|x) - e^eps Q(S*|x') <= delta.
     """
-    if eps < 0 or not (0.0 <= delta <= 1.0):
-        raise ValueError("need eps >= 0 and delta in [0, 1]")
+    e = exp_eps(eps, delta)
     rows = Q.rows
-    gap = rows[:, None, :] - math.exp(eps) * rows[None, :, :]
+    gap = rows[:, None, :] - e * rows[None, :, :]
     worst = np.clip(gap, 0.0, None).sum(axis=2)
     return bool(np.all(worst <= delta + tol))
 
@@ -250,8 +256,7 @@ def is_staircase(Q: Mechanism, eps: float, tol: float = 1e-7) -> bool:
     All-zero columns are allowed; columns mixing zero and positive masses
     are not a staircase (the ratio is unbounded).
     """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    exp_eps(eps)
     pos = Q.rows > ABS_FLOOR
     live = pos.any(axis=0)
     if (pos != live).any():
@@ -336,14 +341,14 @@ def mechanism_from_dict(obj: dict) -> MechanismRecord:
         mat[x] /= s
     eps_claimed = obj.get("eps_claimed")
     delta_claimed = obj.get("delta_claimed")
-    for name, v, hi, allowed in (("eps_claimed", eps_claimed, math.inf, "finite and >= 0"),
-                                 ("delta_claimed", delta_claimed, 1.0, "in [0, 1]")):
+    for name, v, hi in (("eps_claimed", eps_claimed, MAX_EPS),
+                        ("delta_claimed", delta_claimed, 1.0)):
         if v is None:
             continue
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise MechanismFormatError(f"{name} must be a number or null")
-        if not (math.isfinite(v) and 0.0 <= v <= hi):
-            raise MechanismFormatError(f"{name} must be {allowed}, got {v!r}")
+        if not 0.0 <= v <= hi:
+            raise MechanismFormatError(f"{name} must lie in [0, {hi:.2f}], got {v!r}")
     return MechanismRecord(
         mechanism=Mechanism(mat),
         eps_claimed=None if eps_claimed is None else float(eps_claimed),

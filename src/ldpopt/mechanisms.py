@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlphabetTooLarge, DimensionMismatch, Distribution, Mechanism
+from .core import AlphabetTooLarge, DimensionMismatch, Distribution, Mechanism, exp_eps
 
 # Exhaustive subset search cap for the information-preservation split.
 MAX_SUBSET_K = 24
@@ -28,10 +28,6 @@ class PartitionSet:
 
     members: tuple[int, ...]
     mass: float
-
-    def complement(self, k: int) -> tuple[int, ...]:
-        inside = set(self.members)
-        return tuple(i for i in range(k) if i not in inside)
 
     def indicator(self, k: int) -> np.ndarray:
         out = np.zeros(k, dtype=bool)
@@ -74,8 +70,9 @@ def mi_partition(P: Distribution) -> PartitionSet:
 
 
 def _two_output_split(in_split: np.ndarray, eps: float) -> Mechanism:
-    high = math.exp(eps) / (1.0 + math.exp(eps))
-    low = 1.0 / (1.0 + math.exp(eps))
+    e = exp_eps(eps)
+    high = e / (1.0 + e)
+    low = 1.0 / (1.0 + e)
     col0 = np.where(in_split, high, low)
     return Mechanism(np.column_stack([col0, 1.0 - col0]))
 
@@ -87,8 +84,6 @@ def binary_ht(P0: Distribution, P1: Distribution, eps: float) -> Mechanism:
     1/(1+e^eps) elsewhere; output 1 complements. Saturates the eps
     constraint and is a staircase for every eps.
     """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
     split = ht_partition(P0, P1)
     return _two_output_split(split.indicator(P0.k), eps)
 
@@ -99,8 +94,6 @@ def binary_mi(P: Distribution, eps: float) -> Mechanism:
     The split set is chosen by exhaustive search to bring its mass as close
     to 1/2 as possible (deterministic tie-breaking; see mi_partition).
     """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
     split = mi_partition(P)
     return _two_output_split(split.indicator(P.k), eps)
 
@@ -112,9 +105,7 @@ def randomized_response(k: int, eps: float) -> Mechanism:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    e = math.exp(eps)
+    e = exp_eps(eps)
     rows = np.full((k, k), 1.0 / (k - 1 + e))
     np.fill_diagonal(rows, e / (k - 1 + e))
     return Mechanism(rows)
@@ -130,8 +121,9 @@ def geometric(k: int, eps: float) -> Mechanism:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    exp_eps(eps)
+    if eps == 0:
+        raise ValueError(f"geometric noise needs eps > 0, got eps={eps}")
     alpha = math.exp(-eps / (k - 1))
     x = np.arange(k)[:, None]
     y = np.arange(k)[None, :]
@@ -148,11 +140,7 @@ def quaternary(eps: float, delta: float) -> Mechanism:
     Passes the input through with probability delta (outputs 0/1) and
     otherwise applies the two-output eps mechanism (outputs 2/3).
     """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError("delta must lie in [0, 1]")
-    e = math.exp(eps)
+    e = exp_eps(eps, delta)
     lo = (1.0 - delta) / (1.0 + e)
     hi = (1.0 - delta) * e / (1.0 + e)
     rows = np.array([

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, Distribution, Mechanism
+from .core import DimensionMismatch, Distribution, Mechanism, exp_eps
 
 # Masses below this are treated as zero when classifying likelihood ratios.
 MASS_FLOOR = 1e-15
@@ -133,10 +133,9 @@ def tradeoff_region(Q: Mechanism, x0: int = 0, x1: int = 1) -> TradeoffRegion:
 def region_eps_delta(eps: float, delta: float) -> TradeoffRegion:
     """The (eps, delta) privacy region: the part of the unit square above
     p_fa + e^eps p_md >= 1-delta and e^eps p_fa + p_md >= 1-delta."""
-    if eps < 0 or not 0.0 <= delta <= 1.0:
-        raise ValueError("need eps >= 0 and delta in [0, 1]")
+    e = exp_eps(eps, delta)
     reach = 1.0 - delta
-    cross = reach / (1.0 + math.exp(eps))
+    cross = reach / (1.0 + e)
     return TradeoffRegion(_canonical([(0.0, reach), (cross, cross), (reach, 0.0)]))
 
 

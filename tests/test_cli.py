@@ -229,6 +229,36 @@ class TestExponentCommand:
         assert r.kl_rate == pytest.approx(0.0, abs=1e-12)
 
 
+class TestBadPrivacyLevel:
+    """A privacy level outside eps in [0, 709.78], delta in [0, 1] exits 1
+    with one stderr line that names eps, and nothing on stdout."""
+
+    def _one_line_naming_eps(self, capsys, bad):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"eps={bad}" in captured.err
+        assert "math range error" not in captured.err
+
+    def test_mech_rr_overflowing_eps(self, capsys):
+        assert main(["mech", "rr", "--k", "3", "--eps", "800"]) == 1
+        self._one_line_naming_eps(capsys, "800.0")
+
+    def test_mech_geometric_infinite_eps(self, capsys):
+        assert main(["mech", "geometric", "--k", "3", "--eps", "inf"]) == 1
+        self._one_line_naming_eps(capsys, "inf")
+
+    def test_region_nan_eps(self, capsys):
+        assert main(["region", "--eps", "nan"]) == 1
+        self._one_line_naming_eps(capsys, "nan")
+
+    def test_check_overflowing_eps(self, tmp_path, capsys):
+        path = tmp_path / "rr.json"
+        path.write_text(L.mechanism_to_json(L.randomized_response(3, 1.0), 1.0, 0.0))
+        assert main(["check", str(path), "--eps", "800"]) == 1
+        self._one_line_naming_eps(capsys, "800.0")
+
+
 class TestConsoleEntryPoint:
     def test_installed_script(self):
         proc = subprocess.run([sys.executable, "-m", "ldpopt.cli", "mech", "rr",

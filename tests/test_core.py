@@ -99,6 +99,70 @@ class TestPrivacyLevel:
             L.PrivacyLevel(1.0, 1.5)
 
 
+_P0 = L.make_distribution([0.5, 0.2, 0.3])
+_P1 = L.make_distribution([0.1, 0.6, 0.3])
+_RR = L.randomized_response(3, 1.0)
+_SPEC = L.hypothesis_testing(L.KL, _P0, _P1)
+
+# Every public function that takes eps, called with a valid everything-else.
+EPS_ENTRY_POINTS = {
+    "PrivacyLevel": lambda eps: L.PrivacyLevel(eps),
+    "pattern_matrix": lambda eps: L.pattern_matrix(3, eps),
+    "build_lp": lambda eps: L.build_lp(_SPEC, eps),
+    "is_locally_private": lambda eps: L.is_locally_private(_RR, eps),
+    "is_approx_private": lambda eps: L.is_approx_private(_RR, eps, 0.0),
+    "is_staircase": lambda eps: L.is_staircase(_RR, eps),
+    "binary_ht": lambda eps: L.binary_ht(_P0, _P1, eps),
+    "binary_mi": lambda eps: L.binary_mi(_P0, eps),
+    "randomized_response": lambda eps: L.randomized_response(3, eps),
+    "geometric": lambda eps: L.geometric(3, eps),
+    "quaternary": lambda eps: L.quaternary(eps, 0.1),
+    "region_eps_delta": lambda eps: L.region_eps_delta(eps, 0.0),
+    "binary_kl_closed": lambda eps: L.binary_kl_closed(_P0, _P1, eps),
+    "rr_kl_closed": lambda eps: L.rr_kl_closed(_P0, _P1, eps),
+    "binary_tv_closed": lambda eps: L.binary_tv_closed(_P0, _P1, eps),
+    "binary_mi_closed": lambda eps: L.binary_mi_closed(_P0, eps),
+    "rr_mi_closed": lambda eps: L.rr_mi_closed(_P0, eps),
+    "converse_suite": lambda eps: L.converse_suite(_P0, _P1, _RR, eps),
+    "mi_converse_suite": lambda eps: L.mi_converse_suite(_P0, _RR, eps),
+    "approximation_checks": lambda eps: L.approximation_checks(_SPEC, eps),
+    "marginal_ratio_bounds": lambda eps: L.marginal_ratio_bounds(_P0, _P1, _RR, eps),
+    "SweepConfig": lambda eps: L.SweepConfig(seed=0, k=3, num_instances=1,
+                                             eps_grid=(1.0, eps), utility="kl"),
+}
+
+DELTA_ENTRY_POINTS = {
+    "PrivacyLevel": lambda delta: L.PrivacyLevel(1.0, delta),
+    "is_approx_private": lambda delta: L.is_approx_private(_RR, 1.0, delta),
+    "quaternary": lambda delta: L.quaternary(1.0, delta),
+    "region_eps_delta": lambda delta: L.region_eps_delta(1.0, delta),
+}
+
+
+class TestPrivacyLevelDomain:
+    """eps must lie in [0, MAX_EPS], where e^eps is a finite float, and delta
+    in [0, 1]; every entry point rejects anything else with a ValueError
+    that names the bad value."""
+
+    @pytest.mark.parametrize("name", sorted(EPS_ENTRY_POINTS))
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0, 710.0])
+    def test_bad_eps(self, name, eps):
+        with pytest.raises(ValueError, match=f"eps={eps}"):
+            EPS_ENTRY_POINTS[name](eps)
+
+    @pytest.mark.parametrize("name", sorted(DELTA_ENTRY_POINTS))
+    @pytest.mark.parametrize("delta", [math.nan, -0.1, 1.5])
+    def test_bad_delta(self, name, delta):
+        with pytest.raises(ValueError, match=f"delta={delta}"):
+            DELTA_ENTRY_POINTS[name](delta)
+
+    def test_closed_range_accepted(self):
+        from ldpopt.core import MAX_EPS, exp_eps
+        assert exp_eps(0.0, 1.0) == 1.0
+        assert math.isfinite(exp_eps(MAX_EPS))
+        assert L.PrivacyLevel(MAX_EPS, 0.0).eps == MAX_EPS
+
+
 class TestPatternMatrix:
     def test_k3_matches_display(self):
         eps = 0.7
@@ -310,7 +374,8 @@ class TestSerialization:
         # json.loads accepts NaN and Infinity; the wire format does not.
         rows = '"k": 2, "l": 2, "rows": [[0.5, 0.5], [0.5, 0.5]]'
         for name, bad in (("eps_claimed", "NaN"), ("eps_claimed", "Infinity"),
-                          ("eps_claimed", "-1.0"), ("delta_claimed", "NaN"),
+                          ("eps_claimed", "-1.0"), ("eps_claimed", "1000.0"),
+                          ("delta_claimed", "NaN"),
                           ("delta_claimed", "-0.1"), ("delta_claimed", "1.5")):
             with pytest.raises(L.MechanismFormatError, match=name):
                 L.mechanism_from_json(f'{{{rows}, "{name}": {bad}}}')
