@@ -66,7 +66,9 @@ def rr_kl_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
     e = exp_eps(eps)
     a = P0.probs * (e - 1) + 1
     b = P1.probs * (e - 1) + 1
-    return float((a * np.log(a / b)).sum() / (e + P0.k - 1))
+    # Each term is divided before the sum, which can exceed the float range
+    # near MAX_EPS.
+    return float((a / (e + P0.k - 1) * np.log(a / b)).sum())
 
 
 def binary_tv_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
@@ -95,8 +97,8 @@ def rr_mi_closed(P: Distribution, eps: float) -> float:
         raise ValueError("prior must be positive")
     e = exp_eps(eps)
     a = P.probs * (e - 1) + 1
-    return float((P.probs * e * np.log(e / a) + (1 - P.probs) * np.log(1 / a)).sum()
-                 / (e + P.k - 1))
+    d = e + P.k - 1
+    return float((P.probs * (e / d) * np.log(e / a) + (1 - P.probs) / d * np.log(1 / a)).sum())
 
 
 def g_correction(P0: Distribution, P1: Distribution) -> float:
@@ -136,13 +138,15 @@ def converse_suite(P0: Distribution, P1: Distribution, Q: Mechanism,
     tv_m = f_divergence(TV, M0, M1)
     tv_p = f_divergence(TV, P0, P1)
 
+    # No float power of e^eps: (e - 1) ** 2 raises OverflowError past
+    # eps = 354.9, while a product that overflows is inf, the true size of a
+    # bound beyond the float range.
+    lead = (e - 1) * ((e - 1) / (e + 1)) * tv_p**2
     reports = [
         BoundReport("pinsker", 2.0 * tv_m**2, kl01),
-        BoundReport("duchi-symmetrized-kl", kl01 + kl10, 4.0 * (e - 1) ** 2 * tv_p**2),
-        BoundReport("symmetrized-kl-high-privacy", kl01 + kl10,
-                    2.0 * (e - 1) ** 2 / (e + 1) * tv_p**2),
+        BoundReport("duchi-symmetrized-kl", kl01 + kl10, 4.0 * (e - 1) * tv_p * ((e - 1) * tv_p)),
+        BoundReport("symmetrized-kl-high-privacy", kl01 + kl10, 2.0 * lead),
     ]
-    lead = (e - 1) ** 2 / (e + 1) * tv_p**2
     if lead > 0:
         ratio = binary_kl_closed(P0, P1, eps) / lead
         reports.append(BoundReport("binary-kl-expansion-ratio", abs(ratio - 1.0), 0.05))
@@ -193,7 +197,7 @@ def approximation_checks(spec: UtilitySpec, eps: float) -> BoundReport:
     if spec.kind.tag != "kl":
         raise ValueError("approximation guarantee is stated for KL and MI only")
     bin_value = binary_kl_closed(spec.p0, spec.p1, eps)
-    return BoundReport("binary-kl-approximation", opt / (2.0 * (e + 1) ** 2), bin_value)
+    return BoundReport("binary-kl-approximation", opt / (e + 1) / (e + 1) / 2.0, bin_value)
 
 
 def marginal_ratio_bounds(P0: Distribution, P1: Distribution, Q: Mechanism,

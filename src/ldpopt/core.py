@@ -182,19 +182,41 @@ class PatternMatrix:
 
     Column j (1-indexed) is (e^eps - 1) * b_{j-1} + 1 where b_m is the k-bit
     binary representation of m with row k holding the least-significant bit.
+    Only k and eps are stored: `matrix` is built on first access and then
+    cached, and `column` builds the columns it is asked for, so an LP that
+    never needs all 2^k columns at once never materializes them.
     """
 
     k: int
     eps: float
-    matrix: np.ndarray
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense, read-only k x 2^k pattern matrix."""
+        return self.column(slice(None))
 
     @property
     def num_columns(self) -> int:
-        return self.matrix.shape[1]
+        return 2**self.k
 
-    def column(self, j: int) -> np.ndarray:
-        """The j-th pattern column, 0-indexed."""
-        return self.matrix[:, j]
+    @property
+    def bits(self) -> np.ndarray:
+        """The eps-free, read-only k x 2^k {0, 1} matrix: the pattern is
+        1 + delta * bits."""
+        return _pattern_bits(self.k)
+
+    @property
+    def delta(self) -> float:
+        """e^eps - 1."""
+        return exp_eps(self.eps) - 1.0
+
+    def column(self, j) -> np.ndarray:
+        """Pattern column j, 0-indexed; an index array or slice gives the
+        k x len(j) block of those columns."""
+        cols = self.bits[:, j] * self.delta
+        cols += 1.0
+        cols.flags.writeable = False
+        return cols
 
     def support(self, j: int) -> tuple[int, ...]:
         """Input indices where column j takes the value e^eps."""
@@ -202,13 +224,11 @@ class PatternMatrix:
 
 
 def pattern_matrix(k: int, eps: float) -> PatternMatrix:
-    """Materialize the full staircase pattern matrix for alphabet size k."""
+    """The staircase pattern matrix for alphabet size k at privacy level eps."""
     if not 2 <= k <= MAX_PATTERN_K:
         raise AlphabetTooLarge(f"k={k} outside [2, {MAX_PATTERN_K}]")
-    mat = _pattern_bits(k) * (exp_eps(eps) - 1.0)
-    mat += 1.0
-    mat.flags.writeable = False
-    return PatternMatrix(k=k, eps=eps, matrix=mat)
+    exp_eps(eps)
+    return PatternMatrix(k=k, eps=eps)
 
 
 @functools.cache

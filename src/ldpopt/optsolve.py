@@ -15,9 +15,15 @@ so the rows do not collapse together as eps -> 0 and the right-hand side
 is e_0. In these rows the randomized-response columns form a well
 conditioned feasible basis at every eps, so no phase 1 is needed. The
 objective is divided by its largest entry, making PIVOT_TOL relative.
+
+S itself is never built here. The objective comes from the prior masses
+on the eps-free bit matrix (`utilities.pattern_scores`), the bit-difference
+rows are cached per k, so an eps adds only row 0 and the column scales,
+and the certificate and the extraction build just the basis columns.
 The simplex keeps only the k x k inverse of its basis, so pricing all 2^k
 columns is the one O(k 2^k) product a pivot takes (Bertsimas and
-Tsitsiklis, Introduction to Linear Optimization, sec. 3.3). Pricing is
+Tsitsiklis, Introduction to Linear Optimization, sec. 3.3); the rest of a
+pivot is a fixed number of small numpy calls on k-vectors. Pricing is
 Dantzig's rule (most improving reduced cost), falling back to Bland's rule
 after BLAND_AFTER degenerate pivots in a row, until a pivot makes progress
 again.
@@ -25,7 +31,9 @@ again.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,7 +41,7 @@ import numpy as np
 
 from .core import (AlphabetTooLarge, PatternMatrix, Mechanism, _pattern_bits,
                    pattern_matrix)
-from .utilities import UtilitySpec, column_scores
+from .utilities import UtilitySpec, pattern_scores
 
 # LP solving is capped at k = 12 (4096 pattern columns).
 MAX_LP_K = 12
@@ -114,7 +122,7 @@ def build_lp(spec: UtilitySpec, eps: float) -> StaircaseLP:
     if k > MAX_LP_K:
         raise AlphabetTooLarge(f"LP solving capped at k={MAX_LP_K}")
     pat = pattern_matrix(k, eps)
-    obj = column_scores(spec, pat.matrix)
+    obj = pattern_scores(spec, pat)
     obj.flags.writeable = False
     return StaircaseLP(k=k, eps=eps, obj=obj, pattern=pat)
 
@@ -132,41 +140,70 @@ def _run_simplex(A: np.ndarray, Binv: np.ndarray, basis: np.ndarray,
     among minimum-ratio rows, the one holding the lowest-index basic
     variable. The feasible region is a bounded polytope, so an entering
     column with no admissible row is numerical breakdown.
+
+    The pricing product writes into one buffer, the basic costs are kept
+    in step with the basis, and the k-row ratio test runs on Python floats.
     """
+    k = basis.size
+    basic_cost = cost[basis]
+    y = np.empty(k)
+    reduced = np.empty(cost.size)
+    outer = np.empty((k, k))
     degenerate = 0
     for pivots in range(MAX_ITERATIONS):
-        reduced = (cost[basis] @ Binv) @ A - cost
+        np.dot(basic_cost, Binv, out=y)
+        np.dot(y, A, out=reduced)
+        reduced -= cost
         if degenerate >= BLAND_AFTER:
             candidates = np.flatnonzero(reduced < -PIVOT_TOL)
             if candidates.size == 0:
                 return pivots
             j = int(candidates[0])
         else:
-            j = int(np.argmin(reduced))
+            j = int(reduced.argmin())
             if reduced[j] >= -PIVOT_TOL:
                 return pivots
         d = Binv @ A[:, j]
-        rows = np.flatnonzero(d > PIVOT_TOL)
-        if rows.size == 0:
+        step, x = d.tolist(), Binv[:, 0].tolist()
+        rows = [i for i in range(k) if step[i] > PIVOT_TOL]
+        if not rows:
             raise NumericalBreakdown("no admissible pivot in a bounded LP")
-        ratios = Binv[rows, 0] / d[rows]
-        rmin = float(ratios.min())
-        ties = rows[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]
-        r = int(ties[np.argmin(basis[ties])])
-        Binv[r] /= d[r]
+        ratios = [x[i] / step[i] for i in rows]
+        rmin = min(ratios)
+        cut = rmin + 1e-12 * max(1.0, abs(rmin))
+        r = min((i for i, q in zip(rows, ratios) if q <= cut), key=basis.__getitem__)
+        Binv[r] /= step[r]
         d[r] = 0.0
-        Binv -= np.outer(d, Binv[r])
+        Binv -= np.multiply(d[:, None], Binv[r], out=outer)
         basis[r] = j
+        basic_cost[r] = cost[j]
         degenerate = degenerate + 1 if rmin <= DEGENERATE_STEP else 0
     raise NumericalBreakdown("simplex iteration limit reached")
 
 
-def _difference_rows(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _bit_differences(k: int) -> np.ndarray:
+    """The eps-free rows bits_x - bits_0, x = 1 .. k - 1, read-only."""
+    bits = _pattern_bits(k)
+    rows = bits[1:] - bits[0]
+    rows.flags.writeable = False
+    return rows
+
+
+def _difference_rows(pattern: PatternMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Rows A and column scales s with S theta = 1 iff A (theta * s) = e_0
-    at eps > 0: row 0 of S / s above the eps-free bit differences."""
-    scale = S.max(axis=0)
-    bits = _pattern_bits(S.shape[0])
-    return np.vstack([S[0] / scale, bits[1:] - bits[0]]), scale
+    at eps > 0: row 0 of S / s above the eps-free bit differences.
+
+    s_j is column j's largest entry: 1 for the all-ones column 0 and
+    (e^eps - 1) + 1 for every other column. Row 0 of S / s is 1 where bit 0
+    is set (j >= 2^(k-1)) and at j = 0, and 1 / s_j elsewhere.
+    """
+    n = pattern.num_columns
+    scale = np.full(n, pattern.delta + 1.0)
+    scale[0] = 1.0
+    row0 = 1.0 / scale
+    row0[n // 2:] = 1.0
+    return np.vstack([row0, _bit_differences(pattern.k)]), scale
 
 
 def solve(lp: StaircaseLP) -> LPSolution:
@@ -175,12 +212,12 @@ def solve(lp: StaircaseLP) -> LPSolution:
     One simplex phase on the scaled difference rows, started from the
     randomized-response basis, which is feasible at every eps. The final
     basis is re-solved in the same rows to strip pivot error, and the
-    result must pass the feasibility certificate on the original pattern
-    matrix.
+    result must pass the feasibility certificate on the basis columns of
+    the original pattern matrix. A column score that overflowed to inf
+    (possible only within a few nats of MAX_EPS) is numerical breakdown.
     """
-    S = lp.pattern.matrix
-    k, n = S.shape
-    A, scale = _difference_rows(S)
+    k, n = lp.k, lp.num_columns
+    A, scale = _difference_rows(lp.pattern)
     rhs = np.zeros(k)
     rhs[0] = 1.0
 
@@ -189,14 +226,18 @@ def solve(lp: StaircaseLP) -> LPSolution:
     # its explicit inverse is accurate.
     Binv = np.linalg.inv(A[:, basis])
     cost = lp.obj / scale
-    cost /= np.abs(cost).max() or 1.0
+    top = float(np.abs(cost).max())
+    if not math.isfinite(top):
+        raise NumericalBreakdown("a column score is not finite at this eps")
+    cost /= top or 1.0
     pivots = _run_simplex(A, Binv, basis, cost)
 
-    theta = np.zeros(n)
-    theta[basis] = np.linalg.solve(A[:, basis], rhs) / scale[basis]
-    if (float(np.abs(S @ theta - 1.0).max()) > CERT_RESIDUAL_TOL
-            or theta.min() < -CERT_NEG_TOL):
+    basic = np.linalg.solve(A[:, basis], rhs) / scale[basis]
+    if (float(np.abs(lp.pattern.column(basis) @ basic - 1.0).max()) > CERT_RESIDUAL_TOL
+            or basic.min() < -CERT_NEG_TOL):
         raise NumericalBreakdown("solution fails its feasibility certificate")
+    theta = np.zeros(n)
+    theta[basis] = basic
     theta.flags.writeable = False
     return LPSolution(theta=theta, value=float(lp.obj @ theta),
                       basis=tuple(sorted(int(j) for j in basis)),
@@ -213,12 +254,11 @@ def extract_mechanism(sol: LPSolution, lp: StaircaseLP) -> Mechanism:
     eps = 0), so the kept constant columns are summed into one output.
     Rows are then normalized exactly.
     """
-    S = lp.pattern.matrix
     basis = np.array(sol.basis, dtype=int)
-    keep = basis[sol.theta[basis] * S[:, basis].max(axis=0) > EXTRACT_TOL]
+    keep = basis[sol.theta[basis] * lp.pattern.column(basis).max(axis=0) > EXTRACT_TOL]
     if keep.size == 0:
         raise DegenerateBasis("no basis column carries mass above EXTRACT_TOL")
-    pat = S[:, keep]
+    pat = lp.pattern.column(keep)
     cols = pat * sol.theta[keep]
     const = pat.min(axis=0) == pat.max(axis=0)
     if const.any():
@@ -241,7 +281,7 @@ def vertex_oracle(lp: StaircaseLP) -> float:
         raise AlphabetTooLarge(f"vertex oracle is capped at k={MAX_ORACLE_K}")
     S = lp.pattern.matrix
     k, n = S.shape
-    A, scale = _difference_rows(S)
+    A, scale = _difference_rows(lp.pattern)
     subsets = np.array(list(itertools.combinations(range(n), k)))
     # Column 0 of each pseudo-inverse solves its basis for the right side e_0.
     mass = np.linalg.pinv(A[:, subsets].transpose(1, 0, 2))[:, :, 0]

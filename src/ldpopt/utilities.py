@@ -4,19 +4,23 @@ per-column sublinear scores that reduce them to sums over mechanism columns.
 Every utility here decomposes as U(Q) = sum_y mu(Q_y) for a positively
 homogeneous, subadditive mu, which is what makes the extremal-mechanism LP
 work. Each score is written once, in `column_scores` (the f-divergence
-terms b f(a/b) in `FDivergenceKind.terms`); the LP objective, `utility`,
-`column_utility`, `f_divergence` and `mutual_information` all call it. All
-logarithms are natural; divergences are in nats.
+terms b f(a/b) in `FDivergenceKind.terms`); `utility`, `column_utility`,
+`f_divergence` and `mutual_information` all call it. The LP objective comes
+from `pattern_scores`, which evaluates the same scores on the two-valued
+pattern columns from their prior masses: the f-divergence terms through
+`FDivergenceKind.terms` again, and mutual information in its two-value
+form. All logarithms are natural; divergences are in nats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import Distribution, DimensionMismatch, Mechanism
+from .core import Distribution, DimensionMismatch, Mechanism, PatternMatrix
 
 
 class AbsoluteContinuityViolated(ValueError):
@@ -58,7 +62,7 @@ class FDivergenceKind:
             if self.tag == "tv":
                 return 0.5 * np.abs(a - b)
             if self.tag == "chi2":
-                return np.where(b > 0, (a - b) ** 2 / b, 0.0)
+                return np.where(b > 0, (a - b) * ((a - b) / b), 0.0)
         pos = b > 0
         ratios = a[pos] / b[pos]
         _spot_check_convexity(self.f, ratios)
@@ -185,6 +189,27 @@ def column_scores(spec: UtilitySpec, C: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = p[:, None] * C * (np.log(C) - np.log(p @ C))
     return np.where(C > 0, terms, 0.0).sum(axis=0)
+
+
+def pattern_scores(spec: UtilitySpec, pattern: PatternMatrix) -> np.ndarray:
+    """`column_scores` of every pattern column, without the k x 2^k matrix.
+
+    Column j is 1 + delta * bits_j, so its score depends on the priors only
+    through the masses they put on its 1 + delta entries: m0 = P0 . bits_j
+    and m1 = P1 . bits_j, or m = P . bits_j.
+    Hypothesis testing: the same f-divergence terms at a = 1 + delta m0 and
+    b = 1 + delta m1.
+    Information preservation: the two-valued column gives
+    m (1 + delta) log((1 + delta) / (1 + delta m)) - (1 - m) log(1 + delta m),
+    with the logs taken by log1p.
+    """
+    bits, delta = pattern.bits, pattern.delta
+    if spec.objective == "ht":
+        return spec.kind.terms(1.0 + delta * (spec.p0.probs @ bits),
+                               1.0 + delta * (spec.p1.probs @ bits))
+    m = spec.p.probs @ bits
+    log_mass = np.log1p(delta * m)
+    return m * (1.0 + delta) * (math.log1p(delta) - log_mass) - (1.0 - m) * log_mass
 
 
 def column_utility(spec: UtilitySpec, col: np.ndarray) -> float:

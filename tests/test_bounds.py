@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ldpopt as L
+from ldpopt.core import MAX_EPS
 
 EPS_GRID = (0.0, 0.01, 0.1, 1.0, 5.0, 10.0)
 
@@ -177,6 +178,28 @@ class TestConverseSuite:
         for Q in (L.randomized_response(4, 2.0), L.binary_mi(p, 1.0)):
             reports = {r.name: r for r in L.mi_converse_suite(p, Q, 2.0)}
             assert reports["mi-vs-entropy"].satisfied
+
+
+class TestVeryLargeEps:
+    # (e^eps)^2 exceeds the float range past eps = 354.9, though e^eps stays
+    # finite up to MAX_EPS.
+    @pytest.mark.parametrize("eps", [100.0, 400.0, MAX_EPS])
+    def test_reports_and_closed_forms(self, eps):
+        p0 = L.make_distribution([0.5, 0.2, 0.3])
+        p1 = L.make_distribution([0.1, 0.6, 0.3])
+        Q = L.randomized_response(3, eps)
+        reports = {r.name: r for r in [*L.converse_suite(p0, p1, Q, eps),
+                                       *L.mi_converse_suite(p0, Q, eps)]}
+        assert all(math.isfinite(r.lhs) and not math.isnan(r.rhs) for r in reports.values())
+        for name in ("pinsker", "duchi-symmetrized-kl", "mi-vs-entropy",
+                     "rr-kl-low-privacy-residual", "rr-mi-low-privacy-residual"):
+            assert reports[name].satisfied
+        # e^-eps < 1e-43, so randomized response is at its eps -> inf limit.
+        assert L.rr_kl_closed(p0, p1, eps) == pytest.approx(
+            L.f_divergence(L.KL, p0, p1), rel=1e-12)
+        assert L.rr_mi_closed(p0, eps) == pytest.approx(L.entropy(p0), rel=1e-12)
+        for spec in (L.hypothesis_testing(L.KL, p0, p1), L.information_preservation(p0)):
+            assert L.approximation_checks(spec, eps).satisfied
 
 
 class TestApproximationChecks:

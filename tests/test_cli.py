@@ -131,6 +131,16 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "pinsker" in out and "duchi" in out
 
+    def test_very_large_eps_reports(self, tmp_path, capsys):
+        # (e^eps)^2 exceeds the float range past eps = 354.9.
+        path = tmp_path / "rr.json"
+        path.write_text(L.mechanism_to_json(L.randomized_response(3, 400.0), 400.0, 0.0))
+        assert main(["check", str(path), "--eps", "400", "--p0", "0.5,0.2,0.3",
+                     "--p1", "0.1,0.6,0.3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.count("\nbound ") == 5
+
 
 class TestRegionCommand:
     def test_eps_delta_csv(self, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 import ldpopt as L
 from ldpopt import optsolve
+from ldpopt.core import MAX_EPS
 from ldpopt.optsolve import PIVOT_TOL, _difference_rows, _run_simplex
 
 
@@ -44,6 +45,68 @@ class TestBuildLP:
                 direct = [L.column_utility(spec, lp.pattern.column(j))
                           for j in range(lp.num_columns)]
                 np.testing.assert_allclose(lp.obj, direct, rtol=1e-12, atol=1e-15)
+
+    # First-order sensitivity a |f'(r)| + b |f(r) - r f'(r)|, r = a / b, of
+    # each generator's term b f(a / b) to relative changes in a and b.
+    SENSITIVITY = {
+        "kl": lambda a, b: a * np.abs(np.log(a / b) + 1.0) + a,
+        "tv": lambda a, b: 0.5 * (a + b),
+        "chi2": lambda a, b: np.abs(a - b) * (3.0 * a + b) / b,
+        "custom": lambda a, b: a * np.abs(np.log(a / b)) + np.abs(a - b),
+    }
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 12])
+    def test_objective_matches_scores_of_the_matrix(self, k):
+        # lp.obj comes from the prior masses on each column's e^eps entries;
+        # column_scores evaluates the materialized columns. With u the unit
+        # roundoff:
+        # - either side's marginal a = P0 . c (likewise b) is within
+        #   (k + 5) u of its exact value, relatively: a k-term sum, the
+        #   product with delta and the sum with 1 (or the entry
+        #   fl(1 + delta)), and the prior's own sum, within k u of 1;
+        # - that moves b f(a / b) by at most (k + 5) u times SENSITIVITY,
+        #   and evaluating the term errs by a few u of a + b;
+        # - for mutual information either side errs by at most (k + 5) u
+        #   times twice (1 + delta m)(1 + log1p delta), the size of the
+        #   terms it sums (m the prior mass on the e^eps entries).
+        # Both sides err, hence 4 (k + 5) u times these weights. Each score
+        # is homogeneous in its column, so the comparison is made on the
+        # columns scaled to a largest entry of 1, where nothing overflows.
+        u = np.finfo(float).eps / 2
+        rng = np.random.default_rng([17, k])
+        p0 = L.make_distribution(rng.dirichlet(np.ones(k)))
+        p1 = L.make_distribution(rng.dirichlet(np.ones(k)))
+        kinds = {"kl": L.KL, "tv": L.TV, "chi2": L.CHI2,
+                 "custom": L.custom(lambda x: x * math.log(x) - x + 1.0)}
+        for eps in (0.0, 1e-6, 0.1, 2.0, 30.0, 400.0, MAX_EPS):
+            S = L.pattern_matrix(k, eps).matrix
+            scale = S.max(axis=0)
+            a, b = p0.probs @ (S / scale), p1.probs @ (S / scale)
+            cases = [(L.hypothesis_testing(kind, p0, p1),
+                      self.SENSITIVITY[name](a, b) + a + b)
+                     for name, kind in kinds.items()]
+            cases.append((L.information_preservation(p0),
+                          2.0 * a * (1.0 + math.log1p(math.exp(eps) - 1.0))))
+            for spec, weight in cases:
+                # Near MAX_EPS a score may exceed the float range on both sides.
+                with np.errstate(over="ignore"):
+                    got = L.build_lp(spec, eps).obj / scale
+                    want = L.column_scores(spec, S) / scale
+                finite = np.isfinite(want)
+                np.testing.assert_array_equal(np.isfinite(got), finite)
+                err = np.abs(got[finite] - want[finite])
+                assert (err <= 4 * (k + 5) * u * weight[finite]).all()
+
+    def test_lp_leaves_the_matrix_unbuilt(self):
+        rng = np.random.default_rng([18, 12])
+        p0 = L.make_distribution(rng.dirichlet(np.ones(12)))
+        p1 = L.make_distribution(rng.dirichlet(np.ones(12)))
+        for spec in (L.hypothesis_testing(L.KL, p0, p1), L.information_preservation(p0)):
+            lp = L.build_lp(spec, 2.0)
+            L.extract_mechanism(L.solve(lp), lp)
+            assert "matrix" not in vars(lp.pattern)
+        assert lp.pattern.matrix.shape == (12, 4096)
+        assert "matrix" in vars(lp.pattern)
 
     def test_custom_kind_objective(self):
         spec = L.hypothesis_testing(L.custom(lambda x: (x - 1.0) ** 2),
@@ -185,6 +248,34 @@ class TestSolve:
             sol = L.solve(L.build_lp(L.hypothesis_testing(L.TV, p0, p1), eps))
             assert sol.value == pytest.approx(L.binary_tv_closed(p0, p1, eps), abs=1e-12)
 
+    @pytest.mark.parametrize("eps", [400.0, 700.0, MAX_EPS])
+    def test_chi2_very_large_eps(self, eps):
+        # (a - b) ** 2 overflowed past eps = 354.9, and the simplex ran to
+        # its iteration limit. Here the identity mechanism is optimal to
+        # within e^-eps, so the optimum is chi2(P0 || P1). A column with
+        # masses m0 and m1 on its e^eps entries scores
+        # delta^2 (m0 - m1)^2 / (1 + delta m1); where one exceeds the float
+        # range, solve must raise NumericalBreakdown instead.
+        delta = math.exp(eps) - 1.0
+        priors = [([0.5, 0.2, 0.3], [0.1, 0.6, 0.3])]
+        rng = np.random.default_rng([19, 3])
+        priors += [(rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k)))
+                   for k in (2, 3, 3, 4, 6)]
+        for q0, q1 in priors:
+            p0, p1 = L.make_distribution(q0), L.make_distribution(q1)
+            with np.errstate(over="ignore"):
+                lp = L.build_lp(L.hypothesis_testing(L.CHI2, p0, p1), eps)
+            bits = lp.pattern.bits[:, 1:]
+            gap = np.abs((p0.probs - p1.probs) @ bits)
+            log_score = (2 * (math.log(delta) + np.log(gap[gap > 0]))
+                         - np.log1p(delta * (p1.probs @ bits)[gap > 0]))
+            if log_score.max() < MAX_EPS:
+                assert L.solve(lp).value == pytest.approx(
+                    L.f_divergence(L.CHI2, p0, p1), rel=1e-12)
+            else:
+                with pytest.raises(L.NumericalBreakdown, match="not finite"):
+                    L.solve(lp)
+
     @pytest.mark.parametrize("k", [6, 12])
     def test_tiny_eps_solves(self, k):
         rng = np.random.default_rng([5, k])
@@ -236,7 +327,7 @@ class TestSolve:
             for spec in [*specs, L.information_preservation(p0)]:
                 for eps in (1e-6, 0.01, 0.5, 2.0, 8.0, 20.0, 30.0):
                     lp = L.build_lp(spec, eps)
-                    A, scale = _difference_rows(lp.pattern.matrix)
+                    A, scale = _difference_rows(lp.pattern)
                     cost = lp.obj / scale
                     cost /= np.abs(cost).max() or 1.0
                     basis = list(L.solve(lp).basis)
