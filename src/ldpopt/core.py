@@ -16,9 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Absolute floor under which a probability mass is treated as zero by the
-# privacy predicates; keeps double-precision LP output from tripping its
-# own certificates.
+# Absolute slack that is_locally_private adds to each likelihood-ratio
+# bound; keeps double-precision LP output from tripping its own certificates.
 ABS_FLOOR = 1e-12
 
 # Default relative tolerance on likelihood ratios.
@@ -251,8 +250,10 @@ def is_locally_private(Q: Mechanism, eps: float, tol: float = DEFAULT_RATIO_TOL)
     if tol <= 0:
         raise ValueError(f"need tol > 0, got tol={tol}")
     rows = Q.rows
-    bound = e * rows[None, :, :] * (1.0 + tol) + ABS_FLOOR
-    return bool(np.all(rows[:, None, :] <= bound))
+    # Within tol of MAX_EPS, e^eps (1 + tol) exceeds the float range; the
+    # largest float is then the same ratio bound to within a factor 1 + tol.
+    ratio = min(e * (1.0 + tol), np.finfo(float).max)
+    return bool(np.all(rows[:, None, :] <= ratio * rows[None, :, :] + ABS_FLOOR))
 
 
 def is_approx_private(Q: Mechanism, eps: float, delta: float,
@@ -274,10 +275,14 @@ def is_staircase(Q: Mechanism, eps: float, tol: float = 1e-7) -> bool:
     """True iff every column's pairwise |log-ratio| is within tol of 0 or eps.
 
     All-zero columns are allowed; columns mixing zero and positive masses
-    are not a staircase (the ratio is unbounded).
+    are not a staircase (the ratio is unbounded). An entry counts as zero
+    below its column's largest entry times e^-(eps + tol), the smallest
+    level a staircase column holds; an absolute floor would read the low
+    level of a staircase as zero at large eps.
     """
     exp_eps(eps)
-    pos = Q.rows > ABS_FLOOR
+    floor = Q.rows.max(axis=0) * math.exp(-(eps + tol))
+    pos = Q.rows > floor
     live = pos.any(axis=0)
     if (pos != live).any():
         return False

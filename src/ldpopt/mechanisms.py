@@ -73,8 +73,10 @@ def _two_output_split(in_split: np.ndarray, eps: float) -> Mechanism:
     e = exp_eps(eps)
     high = e / (1.0 + e)
     low = 1.0 / (1.0 + e)
-    col0 = np.where(in_split, high, low)
-    return Mechanism(np.column_stack([col0, 1.0 - col0]))
+    # Both columns from the two levels: 1 - high loses the bits of low
+    # below 1e-16, and is 0 from eps ~ 37.
+    return Mechanism(np.column_stack([np.where(in_split, high, low),
+                                      np.where(in_split, low, high)]))
 
 
 def binary_ht(P0: Distribution, P1: Distribution, eps: float) -> Mechanism:

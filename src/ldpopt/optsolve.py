@@ -3,8 +3,8 @@
 The search space collapses to scalings of the {1, e^eps} pattern columns:
 maximize mu^T theta subject to S theta = 1, theta >= 0, where S is the
 k x 2^k pattern matrix. The LP is solved with a one-phase revised primal
-simplex; a brute-force vertex enumeration, one stacked pseudo-inverse over
-every k-column basis, serves as an independent oracle at small k.
+simplex; a brute-force enumeration of the basic solutions of every k-column
+basis serves as an independent oracle at small k.
 
 The simplex runs on pattern columns scaled to a largest entry of 1. Every
 column score is positively homogeneous, so column j scaled by 1/s_j scores
@@ -20,6 +20,9 @@ S itself is never built here. The objective comes from the prior masses
 on the eps-free bit matrix (`utilities.pattern_scores`), the bit-difference
 rows are cached per k, so an eps adds only row 0 and the column scales,
 and the certificate and the extraction build just the basis columns.
+The oracle solves its bases by Cramer's rule: in these rows a basis's
+row-0 cofactors are integer minors of the bit differences, so they and the
+basis's determinant, up to one eps-dependent term, are cached per k.
 The simplex keeps only the k x k inverse of its basis, so pricing all 2^k
 columns is the one O(k 2^k) product a pivot takes (Bertsimas and
 Tsitsiklis, Introduction to Linear Optimization, sec. 3.3); the rest of a
@@ -46,9 +49,12 @@ from .utilities import UtilitySpec, pattern_scores
 # LP solving is capped at k = 12 (4096 pattern columns).
 MAX_LP_K = 12
 
-# The vertex oracle solves all C(2^k, k) bases at once: 1,820 at k = 4, but
-# 201,376 at k = 5, where one call took 1.2 s and 250 MB (one BLAS thread).
-MAX_ORACLE_K = 4
+# The vertex oracle enumerates the C(2^k, k) bases: 1,820 at k = 4 and
+# 201,376 at k = 5, of which 1,336 and 140,856 are nonsingular at some eps.
+# At k = 5 its cached table took 0.17 s to build, peaked at 48 MB and holds
+# 13 MB; a call took 26-35 ms and 43 MB more, and peak RSS rose by 63 MB
+# (2-vCPU Xeon, one BLAS thread). k = 6 would have 7.5e7 bases.
+MAX_ORACLE_K = 5
 
 PIVOT_TOL = 1e-10
 
@@ -196,7 +202,8 @@ def _difference_rows(pattern: PatternMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     s_j is column j's largest entry: 1 for the all-ones column 0 and
     (e^eps - 1) + 1 for every other column. Row 0 of S / s is 1 where bit 0
-    is set (j >= 2^(k-1)) and at j = 0, and 1 / s_j elsewhere.
+    is set (j >= 2^(k-1)) and at j = 0, and 1 / s_j elsewhere. Only solve
+    builds these rows; the vertex oracle needs just the bit differences.
     """
     n = pattern.num_columns
     scale = np.full(n, pattern.delta + 1.0)
@@ -266,28 +273,77 @@ def extract_mechanism(sol: LPSolution, lp: StaircaseLP) -> Mechanism:
     return Mechanism(cols / cols.sum(axis=1, keepdims=True))
 
 
+def _combinations(n: int, r: int) -> np.ndarray:
+    """The C(n, r) x r array of r-subsets of range(n) (n <= 256), in
+    itertools order, streamed without a list of tuples."""
+    m = math.comb(n, r)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), r))
+    return np.fromiter(flat, dtype=np.uint8, count=m * r).reshape(m, r)
+
+
+@functools.cache
+def _oracle_bases(k: int) -> tuple[np.ndarray, ...]:
+    """The eps-free part of every k-column basis M of the difference rows
+    that is nonsingular at some eps, read-only and column-major over bases.
+
+    Returns the k x m basis columns, the k x m row-0 cofactors of M, and
+    per basis C1 + C2 and C2, where C1 and C2 sum the cofactors over the
+    basis columns whose row-0 entry is 1 and 1 / s. Rows 1 .. k - 1 of M
+    are integer bit differences, so each cofactor is +-1 times the
+    determinant of k - 1 columns of them; each such minor is computed once,
+    stored at the colex rank of its columns, and shared by the bases that
+    contain those columns. A basis with C1 = C2 = 0 has det M = 0 at every
+    eps and is dropped.
+    """
+    n = 2**k
+    subsets = _combinations(n, k).T
+    minor_cols = _combinations(n, k - 1)
+    binom = np.array([[math.comb(a, i) for a in range(n)] for i in range(k + 1)])
+    minors = np.empty(len(minor_cols))
+    minors[binom[np.arange(1, k)[:, None], minor_cols.T].sum(axis=0)] = np.rint(
+        np.linalg.det(_bit_differences(k)[:, minor_cols].transpose(1, 0, 2)))
+    # Dropping column i of a basis leaves the columns before it in place,
+    # adding C(a, i + 1) to the rank, and moves those after it down one,
+    # adding C(a, i).
+    i = np.arange(k)[:, None]
+    stay, shift = binom[i + 1, subsets], binom[i, subsets]
+    rank = stay.cumsum(axis=0) - stay + shift[::-1].cumsum(axis=0)[::-1] - shift
+    cofactors = minors[rank]
+    cofactors[1::2] *= -1.0
+    total = cofactors.sum(axis=0)
+    c2 = np.where((subsets == 0) | (subsets >= n // 2), 0.0, cofactors).sum(axis=0)
+    keep = (total != 0) | (c2 != 0)
+    table = (subsets[:, keep].astype(np.intp), cofactors[:, keep], total[keep], c2[keep])
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
 def vertex_oracle(lp: StaircaseLP) -> float:
     """Brute-force optimum over the basic solutions of every k-column basis.
 
-    For eps > 0, S has rank k, so every vertex of {theta : S theta = 1,
-    theta >= 0} is the basic solution of a nonsingular k-column basis. All
-    C(2^k, k) bases are solved at once by one stacked pseudo-inverse in the
-    difference rows, which stay well conditioned as eps -> 0; a singular
-    basis gets a least-squares solution, not an error. A candidate must pass
-    ORACLE_RESIDUAL_TOL on the original S and ORACLE_NEG_TOL on its column
-    masses theta_j * s_j. At eps = 0 every score is zero.
+    Every vertex of {theta : S theta = 1, theta >= 0} is the basic solution
+    of a k-column basis M of the difference rows for the right side e_0,
+    so its masses theta_j * s_j are column 0 of M^-1: the row-0 cofactors
+    over det M = C1 + C2 / s (see _oracle_bases), computed as
+    (C1 + C2) - C2 * delta / (1 + delta). No linear system is solved per
+    eps. A candidate must pass ORACLE_RESIDUAL_TOL on the original S and
+    ORACLE_NEG_TOL on its masses; at an isolated eps where det M vanishes
+    its masses are inf or NaN and fail the residual test.
     """
     if lp.k > MAX_ORACLE_K:
         raise AlphabetTooLarge(f"vertex oracle is capped at k={MAX_ORACLE_K}")
-    S = lp.pattern.matrix
-    k, n = S.shape
-    A, scale = _difference_rows(lp.pattern)
-    subsets = np.array(list(itertools.combinations(range(n), k)))
-    # Column 0 of each pseudo-inverse solves its basis for the right side e_0.
-    mass = np.linalg.pinv(A[:, subsets].transpose(1, 0, 2))[:, :, 0]
-    theta = mass / scale[subsets]
-    residual = np.abs(np.einsum("xmj,mj->mx", S[:, subsets], theta) - 1.0).max(axis=1)
-    # Judge each weight by the mass it puts in its column: e^eps magnifies
-    # a slightly negative weight on an e^eps entry.
-    ok = (residual <= ORACLE_RESIDUAL_TOL) & (mass.min(axis=1) >= -ORACLE_NEG_TOL)
-    return float((lp.obj[subsets][ok] * theta[ok]).sum(axis=1).max(initial=-np.inf))
+    cols, cofactors, total, c2 = _oracle_bases(lp.k)
+    delta = lp.pattern.delta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mass = cofactors / (total - c2 * (delta / (1.0 + delta)))
+        # Every column but the all-ones column 0 has largest entry 1 + delta.
+        theta = mass / (1.0 + delta)
+        np.copyto(theta[0], mass[0], where=cols[0] == 0)
+        fit = np.einsum("xjm,jm->xm", lp.pattern.matrix.take(cols, axis=1), theta)
+        # Judge each weight by the mass it puts in its column: e^eps
+        # magnifies a slightly negative weight on an e^eps entry.
+        ok = ((np.abs(fit - 1.0) <= ORACLE_RESIDUAL_TOL).all(axis=0)
+              & (mass >= -ORACLE_NEG_TOL).all(axis=0))
+    value = np.einsum("jm,jm->m", lp.obj.take(cols[:, ok]), theta[:, ok])
+    return float(value.max(initial=-np.inf))

@@ -1,10 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import ldpopt as L
+from ldpopt.core import MAX_EPS
 
 
 def _random_staircase_rows(rng, k, eps):
@@ -287,6 +289,20 @@ class TestStaircase:
         Q = L.Mechanism(np.array([[1 / 3, 2 / 3, 0.0], [2 / 3, 1 / 3, 0.0]]))
         assert L.is_staircase(Q, math.log(2))
         assert not L.is_staircase(L.Mechanism(np.array([[0.5, 0.5], [0.0, 1.0]])), 1.0)
+
+    @pytest.mark.parametrize("eps", [0.5, 2.0, 10.0, 28.0, 40.0, 60.0, 400.0, MAX_EPS])
+    def test_named_mechanisms_at_large_eps(self, eps):
+        # Randomized response's low level 1 / (k - 1 + e^eps) is below the
+        # old absolute zero floor of 1e-12 from eps ~ 28; at MAX_EPS the
+        # ratio bound e^eps * Q * (1 + tol) exceeds the float range.
+        mechanisms = (L.randomized_response(3, eps), L.randomized_response(12, eps),
+                      L.binary_ht(_P0, _P1, eps), L.binary_mi(_P0, eps))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for Q in mechanisms:
+                assert L.is_locally_private(Q, eps)
+                assert L.is_approx_private(Q, eps, 0.0)
+                assert L.is_staircase(Q, eps)
 
     def test_staircase_implies_private(self):
         rng = np.random.default_rng(11)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ldpopt as L
+from ldpopt.core import MAX_EPS
 
 
 class TestPartitions:
@@ -66,6 +67,20 @@ class TestBinaryHT:
             direct = np.allclose(B.rows, R.rows)
             swapped = np.allclose(B.rows, R.rows[:, ::-1])
             assert direct or swapped
+
+
+class TestBinaryLargeEps:
+    @pytest.mark.parametrize("eps", [20.0, 25.0, 30.0, 40.0, 100.0, MAX_EPS])
+    def test_exactly_eps_private(self, eps):
+        # The low level 1 / (1 + e^eps) is below 1e-8 here; taken as
+        # 1 - e^eps / (1 + e^eps) it lost its low bits, and was 0 from
+        # eps ~ 37.
+        P0 = L.make_distribution([0.5, 0.2, 0.3])
+        P1 = L.make_distribution([0.1, 0.6, 0.3])
+        for Q in (L.binary_ht(P0, P1, eps), L.binary_mi(P0, eps)):
+            assert L.is_locally_private(Q, eps)
+            assert L.is_staircase(Q, eps)
+            assert L.effective_epsilon(Q) == pytest.approx(eps, rel=1e-12)
 
 
 class TestBinaryMI:

@@ -1,4 +1,7 @@
+import functools
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +9,8 @@ import pytest
 import ldpopt as L
 from ldpopt import optsolve
 from ldpopt.core import MAX_EPS
-from ldpopt.optsolve import PIVOT_TOL, _difference_rows, _run_simplex
+from ldpopt.optsolve import (ORACLE_NEG_TOL, PIVOT_TOL, _difference_rows,
+                             _run_simplex)
 
 
 def _random_specs(rng, k):
@@ -492,8 +496,8 @@ class TestVertexOracle:
             L.binary_tv_closed(p0, p1, 30.0), abs=1e-12)
 
     def test_eps0_is_zero(self):
-        # At eps = 0 every k-column basis is singular; the uniform split
-        # over the basis is the feasible least-squares solution.
+        # At eps = 0 every score is zero, and every basis that is
+        # nonsingular in the difference rows gives a feasible vertex.
         specs = [L.information_preservation(L.make_distribution([0.3, 0.7]))]
         for k in (3, 4):
             kl, tv, mi = _random_specs(np.random.default_rng([33, k]), k)
@@ -517,7 +521,83 @@ class TestVertexOracle:
                 assert L.vertex_oracle(lp) == pytest.approx(
                     L.solve(lp).value, rel=1e-9, abs=k * PIVOT_TOL * scaled + 1e-15)
 
+    def test_k5_matches_solver(self):
+        rng = np.random.default_rng([35, 5])
+        kl, tv, mi = _random_specs(rng, 5)
+        for spec in (kl, tv, mi, L.hypothesis_testing(L.CHI2, kl.p0, kl.p1)):
+            for eps in (0.1, 1.0, 8.0):
+                lp = L.build_lp(spec, eps)
+                assert L.solve(lp).value == pytest.approx(
+                    L.vertex_oracle(lp), abs=1e-8)
+
+    @pytest.mark.parametrize("k, priors", [(2, 3), (3, 3), (4, 1)])
+    def test_matches_60_digit_enumeration(self, k, priors):
+        # The reference enumerates the same bases of S in exact rationals,
+        # with e^eps rounded to 60 digits, the same float lp.obj and the
+        # same mass filter. The oracle's value is a k-term dot product,
+        # which errs by k u times sum |obj_j theta_j| (u the unit roundoff).
+        # Each theta_j adds a few u, and det M adds |C2| 2.5 u / |det M|. A
+        # feasible vertex has |det M| >= 1, as its masses are at most 1 and
+        # its cofactors are integers, and |C2| is at most k times the
+        # largest (k - 1)-minor of a {-1, 0, 1} matrix: 2, 6 and 16 at
+        # k = 2, 3, 4. All of it is below 16 k u times that sum. Rounding
+        # e^eps moves the reference's theta by 1e-60 times the condition
+        # number of S's basis, at most about delta^(1 - k) <= 1e30 here.
+        u = np.finfo(float).eps / 2
+        for i in range(priors):
+            kl, tv, mi = _random_specs(np.random.default_rng([36, k, i]), k)
+            specs = (kl, tv, L.hypothesis_testing(L.CHI2, kl.p0, kl.p1), mi)
+            for eps in (1e-10, 1e-6, 0.01, 0.1, 2.0, 30.0):
+                vertices = _exact_vertices(k, eps)
+                for spec in specs:
+                    lp = L.build_lp(spec, eps)
+                    obj = [Fraction(v) for v in lp.obj.tolist()]
+                    basis, theta = max(vertices, key=lambda v: sum(
+                        obj[j] * t for j, t in zip(*v)))
+                    terms = [obj[j] * t for j, t in zip(basis, theta)]
+                    tol = (16 * k * u * float(sum(map(abs, terms)))
+                           + 1e-30 * float(sum(abs(obj[j]) for j in basis)))
+                    assert abs(L.vertex_oracle(lp) - float(sum(terms))) <= tol
+
     def test_cap(self):
-        spec = L.information_preservation(L.Distribution(np.full(5, 0.2)))
+        spec = L.information_preservation(L.Distribution(np.full(6, 1 / 6)))
         with pytest.raises(L.AlphabetTooLarge):
             L.vertex_oracle(L.build_lp(spec, 1.0))
+
+
+@functools.cache
+def _exact_vertices(k, eps):
+    """Every basic solution (basis, theta) of S theta = 1 whose masses are
+    at least -ORACLE_NEG_TOL, in exact rationals, with e^eps rounded to 60
+    digits: fraction-free (Bareiss) elimination on the columns of S scaled
+    to integers, then fraction-free back substitution."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        man, exp = mp.exp(mp.mpf(eps)).man_exp
+    s = Fraction(man) * Fraction(2) ** exp
+    hi, lo = s.numerator, s.denominator
+    vertices = []
+    for basis in itertools.combinations(range(2**k), k):
+        a = [[hi if (j >> (k - 1 - x)) & 1 else lo for j in basis] + [lo]
+             for x in range(k)]
+        prev = 1
+        for c in range(k):
+            p = next((r for r in range(c, k) if a[r][c]), None)
+            if p is None:
+                break
+            a[c], a[p] = a[p], a[c]
+            for r in range(c + 1, k):
+                a[r] = [(a[c][c] * a[r][j] - a[r][c] * a[c][j]) // prev
+                        for j in range(k + 1)]
+            prev = a[c][c]
+        else:
+            # prev is det M up to sign, so theta * prev is integral.
+            num = [0] * k
+            for c in reversed(range(k)):
+                rest = sum(a[c][j] * num[j] for j in range(c + 1, k))
+                num[c] = (a[c][k] * prev - rest) // a[c][c]
+            theta = [Fraction(n, prev) for n in num]
+            if all(t * (s if j else 1) >= -Fraction(ORACLE_NEG_TOL)
+                   for j, t in zip(basis, theta)):
+                vertices.append((basis, theta))
+    return vertices
