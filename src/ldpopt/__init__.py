@@ -1,8 +1,8 @@
 """Optimal mechanisms for local differential privacy on finite alphabets."""
 
-from .core import (ABS_FLOOR, AlphabetTooLarge, DimensionMismatch, Distribution,
-                   Mechanism, MechanismFormatError, MechanismRecord, NegativeMass,
-                   NotNormalizable, PatternMatrix, PrivacyLevel, effective_epsilon,
+from .core import (AlphabetTooLarge, DimensionMismatch, Distribution, Mechanism,
+                   MechanismFormatError, MechanismRecord, NegativeMass,
+                   NotNormalizable, PatternMatrix, effective_epsilon,
                    induced_marginal, is_approx_private, is_locally_private,
                    is_staircase, make_distribution, mechanism_from_dict,
                    mechanism_from_json, mechanism_to_dict, mechanism_to_json,
@@ -15,9 +15,8 @@ from .utilities import (CHI2, KL, TV, AbsoluteContinuityViolated,
 from .mechanisms import (PartitionSet, binary_ht, binary_mi, geometric,
                          ht_partition, mi_partition, quaternary,
                          randomized_response)
-from .optsolve import (DegenerateBasis, LPSolution, LPStatus, NumericalBreakdown,
-                       StaircaseLP, build_lp, extract_mechanism, solve,
-                       vertex_oracle)
+from .optsolve import (DegenerateBasis, LPSolution, NumericalBreakdown, StaircaseLP,
+                       build_lp, extract_mechanism, solve, vertex_oracle)
 from .regions import (TradeoffRegion, contains, operational_privacy_check,
                       region_eps_delta, region_from_marginals, tradeoff_region)
 from .bounds import (BoundReport, approximation_checks, binary_kl_closed,

@@ -18,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import binary_utility, converse_suite, mi_converse_suite
-from .core import (Distribution, Mechanism, effective_epsilon, exp_eps,
+from .core import (MAX_LP_K, Distribution, Mechanism, effective_epsilon, exp_eps,
                    induced_marginal, is_approx_private, is_locally_private,
                    is_staircase, make_distribution, mechanism_from_json,
                    mechanism_to_json)
 from .mechanisms import (binary_ht, binary_mi, geometric, quaternary,
                          randomized_response)
-from .optsolve import (MAX_LP_K, DegenerateBasis, NumericalBreakdown, build_lp,
+from .optsolve import (DegenerateBasis, NumericalBreakdown, build_lp,
                        extract_mechanism, solve)
 from .regions import region_eps_delta, tradeoff_region
 from .utilities import (CHI2, KL, TV, AbsoluteContinuityViolated, f_divergence,
@@ -45,7 +45,11 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _parse_probs(text: str) -> Distribution:
+def _prior(args, name: str) -> Distribution:
+    """The prior given as comma-separated masses in flag --<name>."""
+    text = getattr(args, name)
+    if text is None:
+        raise ValueError(f"missing --{name}")
     return make_distribution([float(t) for t in text.split(",")])
 
 
@@ -98,7 +102,7 @@ class SweepRow:
 
 def _instance_priors(cfg: SweepConfig, instance_id: int):
     """Uniform-simplex priors from a counter-based per-instance stream."""
-    rng = np.random.default_rng(cfg.seed ^ instance_id)
+    rng = np.random.default_rng([cfg.seed, instance_id])
 
     def draw() -> Distribution:
         while True:
@@ -178,9 +182,6 @@ class ExponentReport:
     exponent: float
     kl_rate: float
     beta: float
-    n: int
-    trials: int
-    alpha_star: float
 
 
 def run_exponent_sim(P0: Distribution, P1: Distribution, Q: Mechanism,
@@ -214,8 +215,7 @@ def run_exponent_sim(P0: Distribution, P1: Distribution, Q: Mechanism,
     t = float(np.quantile(llr, alpha_star, method="lower"))
     accepted = llr[llr >= t]
     if accepted.size == 0:
-        return ExponentReport(exponent=math.inf, kl_rate=0.0, beta=0.0,
-                              n=n, trials=trials, alpha_star=alpha_star)
+        return ExponentReport(exponent=math.inf, kl_rate=0.0, beta=0.0)
     # beta is typically exp(-n * rate), far below float range, so the
     # importance-sampling mean of exp(-LLR) is taken in log space.
     top = float((-accepted).max())
@@ -226,8 +226,7 @@ def run_exponent_sim(P0: Distribution, P1: Distribution, Q: Mechanism,
         kl_rate = f_divergence(KL, m0, m1)
     except AbsoluteContinuityViolated:
         kl_rate = math.inf
-    return ExponentReport(exponent=exponent, kl_rate=kl_rate, beta=beta,
-                          n=n, trials=trials, alpha_star=alpha_star)
+    return ExponentReport(exponent=exponent, kl_rate=kl_rate, beta=beta)
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -255,9 +254,9 @@ def cmd_mech(args) -> int:
     elif args.kind == "quaternary":
         Q = quaternary(eps, delta)
     elif args.kind == "binary":
-        Q = binary_ht(_parse_probs(args.p0), _parse_probs(args.p1), eps)
+        Q = binary_ht(_prior(args, "p0"), _prior(args, "p1"), eps)
     else:  # binary-mi
-        Q = binary_mi(_parse_probs(args.p), eps)
+        Q = binary_mi(_prior(args, "p"), eps)
     delta_claim = delta if args.kind == "quaternary" else 0.0
     _write_text(args.out, mechanism_to_json(Q, eps_claimed=eps,
                                             delta_claimed=delta_claim) + "\n")
@@ -267,10 +266,10 @@ def cmd_mech(args) -> int:
 def cmd_opt(args) -> int:
     kind = args.utility
     if kind == "mi":
-        spec = information_preservation(_parse_probs(args.p))
+        spec = information_preservation(_prior(args, "p"))
     else:
-        spec = hypothesis_testing(FDIV_KINDS[kind], _parse_probs(args.p0),
-                                  _parse_probs(args.p1))
+        spec = hypothesis_testing(FDIV_KINDS[kind], _prior(args, "p0"),
+                                  _prior(args, "p1"))
     try:
         lp = build_lp(spec, args.eps)
         sol = solve(lp)
@@ -303,9 +302,9 @@ def cmd_check(args) -> int:
         print(f"is_staircase(eps={_fmt(eps)}): {stair}")
         ok = approx if delta > 0 else pure
         if args.p0 and args.p1:
-            reports = converse_suite(_parse_probs(args.p0), _parse_probs(args.p1), Q, eps)
+            reports = converse_suite(_prior(args, "p0"), _prior(args, "p1"), Q, eps)
         elif args.p:
-            reports = mi_converse_suite(_parse_probs(args.p), Q, eps)
+            reports = mi_converse_suite(_prior(args, "p"), Q, eps)
         else:
             reports = []
         for r in reports:
@@ -353,8 +352,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_exponent(args) -> int:
-    P0 = _parse_probs(args.p0)
-    P1 = _parse_probs(args.p1)
+    P0 = _prior(args, "p0")
+    P1 = _prior(args, "p1")
     if args.mech:
         Q = _load_record(args.mech).mechanism
     elif args.mechanism == "rr":

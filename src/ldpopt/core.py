@@ -16,10 +16,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Absolute slack that is_locally_private adds to each likelihood-ratio
-# bound; keeps double-precision LP output from tripping its own certificates.
-ABS_FLOOR = 1e-12
-
 # Default relative tolerance on likelihood ratios.
 DEFAULT_RATIO_TOL = 1e-9
 
@@ -29,8 +25,14 @@ ROW_SUM_TOL = 1e-12
 # Parsers reject serialized rows whose sums deviate from 1 by more than this.
 PARSE_ROW_SUM_TOL = 1e-9
 
-# Dense pattern-matrix materialization cap: 2^16 columns.
-MAX_PATTERN_K = 16
+# Pattern matrices, and so the LPs over them, are capped at k = 12 (4096
+# columns): the solver, its tests and the sweeps stop there, and nothing
+# builds a larger one.
+MAX_LP_K = 12
+
+# The information-preservation split lists the masses of all 2^k input
+# subsets: at k = 24, 1.7e7 floats (134 MB).
+MAX_SUBSET_K = 24
 
 # The largest eps whose e^eps is a finite float (about 709.78).
 MAX_EPS = math.log(np.finfo(float).max)
@@ -157,22 +159,8 @@ class Mechanism:
     def l(self) -> int:
         return self.rows.shape[1]
 
-    def column(self, y: int) -> np.ndarray:
-        return self.rows[:, y]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Mechanism) and np.array_equal(self.rows, other.rows)
-
-
-@dataclass(frozen=True)
-class PrivacyLevel:
-    """An (eps, delta) privacy target; eps in nats, delta in [0, 1]."""
-
-    eps: float
-    delta: float = 0.0
-
-    def __post_init__(self):
-        exp_eps(self.eps, self.delta)
 
 
 @dataclass(frozen=True)
@@ -217,15 +205,11 @@ class PatternMatrix:
         cols.flags.writeable = False
         return cols
 
-    def support(self, j: int) -> tuple[int, ...]:
-        """Input indices where column j takes the value e^eps."""
-        return tuple(i for i in range(self.k) if (j >> (self.k - 1 - i)) & 1)
-
 
 def pattern_matrix(k: int, eps: float) -> PatternMatrix:
     """The staircase pattern matrix for alphabet size k at privacy level eps."""
-    if not 2 <= k <= MAX_PATTERN_K:
-        raise AlphabetTooLarge(f"k={k} outside [2, {MAX_PATTERN_K}]")
+    if not 2 <= k <= MAX_LP_K:
+        raise AlphabetTooLarge(f"k={k} outside [2, {MAX_LP_K}]")
     exp_eps(eps)
     return PatternMatrix(k=k, eps=eps)
 
@@ -239,21 +223,17 @@ def _pattern_bits(k: int) -> np.ndarray:
     return bits
 
 
-def is_locally_private(Q: Mechanism, eps: float, tol: float = DEFAULT_RATIO_TOL) -> bool:
-    """Check the pure-eps likelihood-ratio constraint on every output.
+def is_locally_private(Q: Mechanism, eps: float) -> bool:
+    """True iff Q is eps-locally private: Q(y|x) <= e^eps Q(y|x') for every
+    output y and inputs x, x', so no output's likelihoods differ by a ratio
+    above e^eps.
 
-    True iff Q(y|x) <= e^eps * Q(y|x') * (1 + tol) + ABS_FLOOR for every
-    output y and ordered input pair (x, x'). Singleton outputs suffice;
-    a column mixing zero and nonzero masses fails for any finite eps.
+    Reads the largest log-ratio from effective_epsilon, with a relative
+    slack of DEFAULT_RATIO_TOL on the ratio; a column mixing zero and
+    nonzero masses fails at every eps.
     """
-    e = exp_eps(eps)
-    if tol <= 0:
-        raise ValueError(f"need tol > 0, got tol={tol}")
-    rows = Q.rows
-    # Within tol of MAX_EPS, e^eps (1 + tol) exceeds the float range; the
-    # largest float is then the same ratio bound to within a factor 1 + tol.
-    ratio = min(e * (1.0 + tol), np.finfo(float).max)
-    return bool(np.all(rows[:, None, :] <= ratio * rows[None, :, :] + ABS_FLOOR))
+    exp_eps(eps)
+    return effective_epsilon(Q) <= eps + math.log1p(DEFAULT_RATIO_TOL)
 
 
 def is_approx_private(Q: Mechanism, eps: float, delta: float,

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlphabetTooLarge, DimensionMismatch, Distribution, Mechanism, exp_eps
-
-# Exhaustive subset search cap for the information-preservation split.
-MAX_SUBSET_K = 24
+from .core import (MAX_SUBSET_K, AlphabetTooLarge, DimensionMismatch, Distribution,
+                   Mechanism, exp_eps)
 
 # Float gaps within this window of the best are treated as tied.
 TIE_TOL = 1e-12

@@ -38,16 +38,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .core import (AlphabetTooLarge, PatternMatrix, Mechanism, _pattern_bits,
                    pattern_matrix)
 from .utilities import UtilitySpec, pattern_scores
-
-# LP solving is capped at k = 12 (4096 pattern columns).
-MAX_LP_K = 12
 
 # The vertex oracle enumerates the C(2^k, k) bases: 1,820 at k = 4 and
 # 201,376 at k = 5, of which 1,336 and 140,856 are nonsingular at some eps.
@@ -90,10 +86,6 @@ class DegenerateBasis(RuntimeError):
     """No basis column survived extraction thresholding."""
 
 
-class LPStatus(Enum):
-    OPTIMAL = "optimal"
-
-
 @dataclass(frozen=True)
 class StaircaseLP:
     """maximize obj . theta subject to pattern @ theta = 1, theta >= 0."""
@@ -102,10 +94,6 @@ class StaircaseLP:
     eps: float
     obj: np.ndarray
     pattern: PatternMatrix
-
-    @property
-    def rhs(self) -> np.ndarray:
-        return np.ones(self.k)
 
     @property
     def num_columns(self) -> int:
@@ -117,20 +105,16 @@ class LPSolution:
     theta: np.ndarray
     value: float
     basis: tuple[int, ...]
-    status: LPStatus
     # Simplex pivots taken from the randomized-response basis.
     pivots: int = 0
 
 
 def build_lp(spec: UtilitySpec, eps: float) -> StaircaseLP:
     """Assemble the pattern-column LP for a utility spec at privacy level eps."""
-    k = spec.k
-    if k > MAX_LP_K:
-        raise AlphabetTooLarge(f"LP solving capped at k={MAX_LP_K}")
-    pat = pattern_matrix(k, eps)
+    pat = pattern_matrix(spec.k, eps)
     obj = pattern_scores(spec, pat)
     obj.flags.writeable = False
-    return StaircaseLP(k=k, eps=eps, obj=obj, pattern=pat)
+    return StaircaseLP(k=spec.k, eps=eps, obj=obj, pattern=pat)
 
 
 def _run_simplex(A: np.ndarray, Binv: np.ndarray, basis: np.ndarray,
@@ -247,8 +231,7 @@ def solve(lp: StaircaseLP) -> LPSolution:
     theta[basis] = basic
     theta.flags.writeable = False
     return LPSolution(theta=theta, value=float(lp.obj @ theta),
-                      basis=tuple(sorted(int(j) for j in basis)),
-                      status=LPStatus.OPTIMAL, pivots=pivots)
+                      basis=tuple(sorted(int(j) for j in basis)), pivots=pivots)
 
 
 def extract_mechanism(sol: LPSolution, lp: StaircaseLP) -> Mechanism:

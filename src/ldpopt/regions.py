@@ -139,15 +139,15 @@ def region_eps_delta(eps: float, delta: float) -> TradeoffRegion:
     return TradeoffRegion(_canonical([(0.0, reach), (cross, cross), (reach, 0.0)]))
 
 
-def contains(outer: TradeoffRegion, inner: TradeoffRegion,
-             tol: float = CONTAIN_TOL) -> bool:
-    """True iff inner's boundary lies on or above outer's boundary.
+def contains(outer: TradeoffRegion, inner: TradeoffRegion) -> bool:
+    """True iff inner's boundary lies on or above outer's boundary, to
+    within CONTAIN_TOL.
 
     Both boundaries are piecewise linear, so checking at the union of their
     vertex abscissae is complete.
     """
     mds = np.union1d(outer.abscissae, inner.abscissae)
-    return bool(np.all(inner.evaluate(mds) >= outer.evaluate(mds) - tol))
+    return bool(np.all(inner.evaluate(mds) >= outer.evaluate(mds) - CONTAIN_TOL))
 
 
 def operational_privacy_check(Q: Mechanism, eps: float, delta: float) -> bool:
@@ -158,4 +158,4 @@ def operational_privacy_check(Q: Mechanism, eps: float, delta: float) -> bool:
     """
     if Q.k != 2:
         raise DimensionMismatch("operational check needs exactly 2 input rows")
-    return contains(region_eps_delta(eps, delta), tradeoff_region(Q, 0, 1), CONTAIN_TOL)
+    return contains(region_eps_delta(eps, delta), tradeoff_region(Q, 0, 1))

@@ -42,12 +42,6 @@ class FDivergenceKind:
     tag: str
     custom_f: Callable[[float], float] | None = None
 
-    def f(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.tag == "custom":
-            return np.vectorize(self.custom_f, otypes=[float])(x)
-        return self.terms(x, np.ones_like(x))
-
     def terms(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """b f(a / b) elementwise; 0 where a = b = 0.
 
@@ -63,11 +57,12 @@ class FDivergenceKind:
                 return 0.5 * np.abs(a - b)
             if self.tag == "chi2":
                 return np.where(b > 0, (a - b) * ((a - b) / b), 0.0)
+        f = np.vectorize(self.custom_f, otypes=[float])
         pos = b > 0
         ratios = a[pos] / b[pos]
-        _spot_check_convexity(self.f, ratios)
+        _spot_check_convexity(f, ratios)
         out = np.zeros(b.shape)
-        out[pos] = b[pos] * self.f(ratios)
+        out[pos] = b[pos] * f(ratios)
         return out
 
 

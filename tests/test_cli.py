@@ -111,6 +111,14 @@ class TestCheckCommand:
         path.write_text(L.mechanism_to_json(Q, eps_claimed=1.0, delta_claimed=0.0))
         assert main(["check", str(path)]) == 1
 
+    def test_tiny_violation_fails(self, tmp_path, capsys):
+        # 5e-13 against an exact 0 breaks every finite ratio bound.
+        path = tmp_path / "tiny.json"
+        Q = L.Mechanism(np.array([[1 - 5e-13, 5e-13], [1.0, 0.0]]))
+        path.write_text(L.mechanism_to_json(Q, eps_claimed=1.0, delta_claimed=0.0))
+        assert main(["check", str(path)]) == 1
+        assert "is_locally_private(eps=1): False" in capsys.readouterr().out
+
     def test_malformed_json_has_context(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"k": 2, "l": 2,
@@ -269,6 +277,20 @@ class TestBadPrivacyLevel:
         self._one_line_naming_eps(capsys, "800.0")
 
 
+class TestMissingPrior:
+    @pytest.mark.parametrize("argv, flag", [
+        (["mech", "binary", "--eps", "1"], "--p0"),
+        (["mech", "binary-mi", "--eps", "1"], "--p"),
+        (["opt", "--utility", "kl", "--eps", "1", "--p", "0.5,0.5"], "--p0"),
+        (["opt", "--utility", "mi", "--eps", "1"], "--p"),
+    ])
+    def test_one_error_line_naming_the_flag(self, capsys, argv, flag):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err
+
+
 class TestConsoleEntryPoint:
     def test_installed_script(self):
         proc = subprocess.run([sys.executable, "-m", "ldpopt.cli", "mech", "rr",
@@ -277,3 +299,10 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0
         rec = L.mechanism_from_json(proc.stdout)
         assert rec.mechanism.k == 2
+
+    def test_module_entry_point(self):
+        proc = subprocess.run([sys.executable, "-m", "ldpopt", "--help"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "usage: ldpopt" in proc.stdout

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ldpopt as L
-from ldpopt.core import MAX_EPS
+from ldpopt.core import DEFAULT_RATIO_TOL, MAX_EPS
 
 
 def _random_staircase_rows(rng, k, eps):
@@ -89,18 +89,6 @@ class TestMechanismValidation:
             assert np.all(Q.rows >= 0)
 
 
-class TestPrivacyLevel:
-    def test_valid(self):
-        lvl = L.PrivacyLevel(1.0, 0.05)
-        assert lvl.eps == 1.0 and lvl.delta == 0.05
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            L.PrivacyLevel(-0.1)
-        with pytest.raises(ValueError):
-            L.PrivacyLevel(1.0, 1.5)
-
-
 _P0 = L.make_distribution([0.5, 0.2, 0.3])
 _P1 = L.make_distribution([0.1, 0.6, 0.3])
 _RR = L.randomized_response(3, 1.0)
@@ -108,7 +96,6 @@ _SPEC = L.hypothesis_testing(L.KL, _P0, _P1)
 
 # Every public function that takes eps, called with a valid everything-else.
 EPS_ENTRY_POINTS = {
-    "PrivacyLevel": lambda eps: L.PrivacyLevel(eps),
     "pattern_matrix": lambda eps: L.pattern_matrix(3, eps),
     "build_lp": lambda eps: L.build_lp(_SPEC, eps),
     "is_locally_private": lambda eps: L.is_locally_private(_RR, eps),
@@ -134,7 +121,6 @@ EPS_ENTRY_POINTS = {
 }
 
 DELTA_ENTRY_POINTS = {
-    "PrivacyLevel": lambda delta: L.PrivacyLevel(1.0, delta),
     "is_approx_private": lambda delta: L.is_approx_private(_RR, 1.0, delta),
     "quaternary": lambda delta: L.quaternary(1.0, delta),
     "region_eps_delta": lambda delta: L.region_eps_delta(1.0, delta),
@@ -162,7 +148,6 @@ class TestPrivacyLevelDomain:
         from ldpopt.core import MAX_EPS, exp_eps
         assert exp_eps(0.0, 1.0) == 1.0
         assert math.isfinite(exp_eps(MAX_EPS))
-        assert L.PrivacyLevel(MAX_EPS, 0.0).eps == MAX_EPS
 
 
 class TestPatternMatrix:
@@ -195,15 +180,9 @@ class TestPatternMatrix:
         mat0 = L.pattern_matrix(3, 0.0).matrix
         assert len({tuple(c) for c in mat0.T}) == 1
 
-    def test_support_indexing(self):
-        pat = L.pattern_matrix(3, 1.0)
-        # column index bits are read with row k as the least-significant bit
-        assert pat.support(0b011) == (1, 2)
-        assert pat.support(0b100) == (0,)
-
     def test_cap(self):
         with pytest.raises(L.AlphabetTooLarge):
-            L.pattern_matrix(17, 1.0)
+            L.pattern_matrix(13, 1.0)
 
     def test_matches_direct_construction_and_is_frozen(self):
         # the cached bit matrix gives the same bits as building them afresh
@@ -239,6 +218,36 @@ class TestLocalPrivacy:
     def test_mixed_zero_column_violates(self):
         Q = L.Mechanism(np.array([[0.5, 0.5, 0.0], [0.5, 0.25, 0.25]]))
         assert not L.is_locally_private(Q, 100.0)
+
+    def test_tiny_masses_get_no_floor(self):
+        # Violations below 1e-12 in absolute terms still violate the ratio.
+        for rows in ([[1 - 5e-13, 5e-13], [1.0, 0.0]],
+                     [[1 - 5e-13, 5e-13], [1 - 1e-16, 1e-16]]):
+            assert not L.is_locally_private(L.Mechanism(np.array(rows)), 1.0)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 2.0, 30.0])
+    def test_matches_pairwise_definition(self, eps):
+        rng = np.random.default_rng([12, int(eps * 10)])
+        seen = set()
+        for _ in range(300):
+            k, l = rng.integers(2, 7, size=2)
+            rows = rng.uniform(0.2, 1.0, size=(k, l))
+            if rng.random() < 0.25:
+                rows[:] = rows[0]
+            rows[rng.random((k, l)) < 0.1] = 0.0
+            tiny = rng.random((k, l)) < 0.15
+            rows[tiny] = rng.uniform(0.5e-13, 2e-13, size=tiny.sum())
+            if rng.random() < 0.2:
+                rows[:, rng.integers(l)] = 0.0
+            if (rows.sum(axis=1) == 0).any():
+                continue
+            Q = L.Mechanism(rows / rows.sum(axis=1, keepdims=True))
+            # Q(y|x) <= e^eps Q(y|x') for every output y and inputs x, x'.
+            bound = math.exp(eps) * (1.0 + DEFAULT_RATIO_TOL)
+            pairwise = bool(np.all(Q.rows[:, None, :] <= bound * Q.rows[None, :, :]))
+            assert L.is_locally_private(Q, eps) == pairwise
+            seen.add(pairwise)
+        assert seen == {True, False}
 
 
 class TestApproxPrivacy:

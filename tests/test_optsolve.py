@@ -138,7 +138,6 @@ class TestSolve:
         spec = L.hypothesis_testing(L.KL, L.make_distribution([0.7, 0.3]),
                                     L.make_distribution([0.3, 0.7]))
         sol = L.solve(L.build_lp(spec, math.log(3)))
-        assert sol.status is L.LPStatus.OPTIMAL
         assert sol.value == pytest.approx(0.2 * math.log(1.5), abs=1e-12)
 
     def test_eps0(self):
@@ -163,7 +162,6 @@ class TestSolve:
                 for eps in (0.1, 2.0, 20.0):
                     lp = L.build_lp(spec, eps)
                     sol = L.solve(lp)
-                    assert sol.status is L.LPStatus.OPTIMAL
                     residual = np.abs(lp.pattern.matrix @ sol.theta - 1.0).max()
                     assert residual <= 1e-9
                     assert sol.theta.min() >= -1e-12
@@ -288,7 +286,6 @@ class TestSolve:
         for spec in (L.hypothesis_testing(L.KL, p0, p1), L.information_preservation(p0)):
             for eps in (1e-10, 1e-9, 1e-8):
                 sol = L.solve(L.build_lp(spec, eps))
-                assert sol.status is L.LPStatus.OPTIMAL
                 assert 0.0 <= sol.value <= 1e-12
 
     @pytest.mark.parametrize("k", [3, 6, 12])
@@ -354,7 +351,7 @@ class TestSolve:
                 for eps in (0.5, 2.0, 8.0):
                     lp = L.build_lp(spec, eps)
                     top = np.abs(lp.obj).max()
-                    res = linprog(-lp.obj / top, A_eq=lp.pattern.matrix, b_eq=lp.rhs,
+                    res = linprog(-lp.obj / top, A_eq=lp.pattern.matrix, b_eq=np.ones(lp.k),
                                   bounds=(0, None), method="highs")
                     assert res.status == 0
                     assert L.solve(lp).value == pytest.approx(-res.fun * top, rel=1e-9)
@@ -415,7 +412,7 @@ class TestExtract:
         theta = np.zeros(n)
         theta[0], theta[n - 1] = 0.5, 0.5 / e
         sol = L.LPSolution(theta=theta, value=float(lp.obj @ theta),
-                           basis=(0, n - 1), status=L.LPStatus.OPTIMAL)
+                           basis=(0, n - 1))
         Q = L.extract_mechanism(sol, lp)
         assert Q.l == 1
         np.testing.assert_allclose(Q.rows, np.ones((k, 1)), atol=1e-15)
@@ -450,7 +447,7 @@ class TestExtract:
                     sol = L.solve(lp)
                     Q = L.extract_mechanism(sol, lp)
                     assert Q.l <= k
-                    assert L.is_locally_private(Q, eps, 1e-9)
+                    assert L.is_locally_private(Q, eps)
                     assert L.is_staircase(Q, eps, 1e-7)
                     assert L.utility(spec, Q) == pytest.approx(sol.value, abs=1e-9)
 
