@@ -54,7 +54,14 @@ def _prior(args, name: str) -> Distribution:
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(","))
+    """The comma-separated eps values of flag --eps-grid."""
+    grid = []
+    for t in text.split(","):
+        try:
+            grid.append(float(t))
+        except ValueError:
+            raise ValueError(f"--eps-grid: {t!r} is not a number in {text!r}") from None
+    return tuple(grid)
 
 
 # -- sweeps ------------------------------------------------------------------
@@ -86,8 +93,8 @@ class SweepConfig:
             raise ValueError(f"unknown mechanisms: {sorted(bad)}")
         # Every row carries the LP optimum for its ratio column, so the
         # alphabet cap applies to all sweeps, not only "optimal" rows.
-        if self.k > MAX_LP_K:
-            raise ValueError(f"sweeps are capped at k={MAX_LP_K}")
+        if not 2 <= self.k <= MAX_LP_K:
+            raise ValueError(f"sweeps need k in [2, {MAX_LP_K}], got k={self.k}")
 
 
 @dataclass(frozen=True)
@@ -165,7 +172,7 @@ def sweep_summary(rows: list[SweepRow]) -> str:
         by_eps.setdefault(r.eps, {}).setdefault(r.mechanism, []).append(r.ratio)
     lines = []
     for eps in sorted(by_eps):
-        means = {m: float(np.mean(v)) for m, v in sorted(by_eps[eps].items())}
+        means = {m: math.fsum(v) / len(v) for m, v in sorted(by_eps[eps].items())}
         body = "  ".join(f"{m}={_fmt(v)}" for m, v in means.items())
         lines.append(f"eps={_fmt(eps)}  mean ratio: {body}")
     mixed = [r.ratio for r in rows if r.mechanism == "mixed"]
@@ -221,7 +228,9 @@ def run_exponent_sim(P0: Distribution, P1: Distribution, Q: Mechanism,
     top = float((-accepted).max())
     log_beta = top + math.log(float(np.exp(-accepted - top).sum())) - math.log(trials)
     beta = math.exp(log_beta) if log_beta > -700 else 0.0
-    exponent = -log_beta / n
+    # log_beta is exactly 0 when every accepted LLR is 0 (identical
+    # marginals); -0.0 / n would print as -0.
+    exponent = -log_beta / n if log_beta else 0.0
     try:
         kl_rate = f_divergence(KL, m0, m1)
     except AbsoluteContinuityViolated:

@@ -87,6 +87,11 @@ class Distribution:
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1 or probs.size < 2:
             raise DimensionMismatch("distribution needs at least 2 outcomes")
+        # One pass accepts every valid vector: a NaN or -inf fails the
+        # minimum, and a +inf makes the sum inf. Anything else goes through
+        # the checks below, which name what is wrong.
+        if probs.min() >= 0 and abs(float(probs.sum()) - 1.0) <= ROW_SUM_TOL:
+            return
         if not np.all(np.isfinite(probs)):
             raise NotNormalizable("non-finite probability mass")
         if np.any(probs < 0):
@@ -142,6 +147,10 @@ class Mechanism:
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise DimensionMismatch("mechanism must be a 2-d matrix")
+        # One pass accepts every valid matrix, as in Distribution; the row
+        # sums are tested by the same expression as in the check below.
+        if rows.min() >= 0 and np.abs(rows.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL:
+            return
         if not np.all(np.isfinite(rows)):
             raise ValueError("non-finite mechanism entry")
         if np.any(rows < 0):

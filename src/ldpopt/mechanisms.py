@@ -73,8 +73,7 @@ def _two_output_split(in_split: np.ndarray, eps: float) -> Mechanism:
     low = 1.0 / (1.0 + e)
     # Both columns from the two levels: 1 - high loses the bits of low
     # below 1e-16, and is 0 from eps ~ 37.
-    return Mechanism(np.column_stack([np.where(in_split, high, low),
-                                      np.where(in_split, low, high)]))
+    return Mechanism(np.where(in_split[:, None], (high, low), (low, high)))
 
 
 def binary_ht(P0: Distribution, P1: Distribution, eps: float) -> Mechanism:
@@ -84,8 +83,9 @@ def binary_ht(P0: Distribution, P1: Distribution, eps: float) -> Mechanism:
     1/(1+e^eps) elsewhere; output 1 complements. Saturates the eps
     constraint and is a staircase for every eps.
     """
-    split = ht_partition(P0, P1)
-    return _two_output_split(split.indicator(P0.k), eps)
+    if P0.k != P1.k:
+        raise DimensionMismatch("priors must share an alphabet")
+    return _two_output_split(P0.probs >= P1.probs, eps)
 
 
 def binary_mi(P: Distribution, eps: float) -> Mechanism:

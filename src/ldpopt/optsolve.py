@@ -197,6 +197,22 @@ def _difference_rows(pattern: PatternMatrix) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack([row0, _bit_differences(pattern.k)]), scale
 
 
+def _rr_inverse(k: int, a: float) -> np.ndarray:
+    """Inverse of the randomized-response basis in the difference rows.
+
+    Its columns are the one-bit patterns from bit 0 down, so the basis is
+    [[1, a, ..., a], [-1, I]] with a = 1 / (1 + delta), and its inverse is
+    I - a c 11^T with column 0 replaced by c = 1 / (1 + a (k - 1)). The
+    basis has condition number at most 13 (k <= 12), so an explicit
+    inverse is accurate.
+    """
+    c = 1.0 / (1.0 + a * (k - 1))
+    Binv = np.eye(k)
+    Binv -= a * c
+    Binv[:, 0] = c
+    return Binv
+
+
 def solve(lp: StaircaseLP) -> LPSolution:
     """Optimal basic feasible solution of the pattern LP.
 
@@ -213,9 +229,7 @@ def solve(lp: StaircaseLP) -> LPSolution:
     rhs[0] = 1.0
 
     basis = 1 << (k - 1 - np.arange(k))
-    # In these rows the basis has condition number at most 13 (k <= 12), so
-    # its explicit inverse is accurate.
-    Binv = np.linalg.inv(A[:, basis])
+    Binv = _rr_inverse(k, 1.0 / float(scale[1]))
     cost = lp.obj / scale
     top = float(np.abs(cost).max())
     if not math.isfinite(top):

@@ -227,6 +227,59 @@ class TestSweepCommand:
         assert main(["sweep", "--k", "13", "--eps-grid", "1.0",
                      "--utility", "kl"]) == 1
 
+    def test_bad_grid_token_is_named(self, capsys):
+        assert main(["sweep", "--k", "6", "--eps-grid", "0.5,,1",
+                     "--utility", "kl"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --eps-grid: '' is not a number in '0.5,,1'\n"
+
+    @pytest.mark.parametrize("k", [1, 13])
+    def test_k_outside_range_is_named(self, capsys, k):
+        assert main(["sweep", "--k", str(k), "--eps-grid", "1",
+                     "--utility", "kl"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: sweeps need k in [2, 12], got k={k}\n"
+
+    # Python-level calls per sweep-k6 operation (one instance, the
+    # benchmark's eps grids, all five mechanisms) over run_sweep, sweep_csv
+    # and sweep_summary, counted by sys.setprofile after a warm-up pass:
+    # 2,102 before the fixed per-call costs were cut, 1,570 after (numpy 2.4,
+    # Python 3.11). numpy's own Python wrappers are counted, so the budget
+    # holds only for the versions it was measured with.
+    CALLS_PER_OP = 1570
+    CALL_BUDGET = 1.10 * CALLS_PER_OP
+
+    @pytest.mark.skipif(np.__version__.split(".")[:2] != ["2", "4"]
+                        or sys.version_info[:2] != (3, 11),
+                        reason="call counts were measured on numpy 2.4, Python 3.11")
+    def test_call_budget(self):
+        grid = (0.1, 0.5, 1.0, 2.0, 4.0, 6.0, 10.0)
+        grids = {"kl": grid, "tv": grid, "chi2": grid, "mi": grid[1:]}
+        cfgs = [L.SweepConfig(seed=seed, k=6, num_instances=1, eps_grid=g, utility=u)
+                for seed in range(5) for u, g in grids.items()]
+
+        def run_all():
+            for cfg in cfgs:
+                rows = L.run_sweep(cfg)
+                L.sweep_csv(rows)
+                L.sweep_summary(rows)
+
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        run_all()
+        sys.setprofile(count)
+        try:
+            run_all()
+        finally:
+            sys.setprofile(None)
+        assert calls / len(cfgs) <= self.CALL_BUDGET
+
 
 class TestExponentCommand:
     def test_identical_priors_zero_exponent(self, capsys):
@@ -235,8 +288,9 @@ class TestExponentCommand:
                      "--seed", "1"])
         assert code == 0
         out = capsys.readouterr().out
-        exponent = float(out.split("exponent_estimate=")[1].splitlines()[0])
-        assert abs(exponent) < 1e-6
+        # Every log-likelihood ratio is 0, so the estimate is exactly 0, and
+        # printed without a sign.
+        assert out.splitlines()[0] == "exponent_estimate=0"
 
     def test_eps0_mechanism_zero_exponent(self):
         P0 = L.make_distribution([0.8, 0.2])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ldpopt as L
-from ldpopt.core import DEFAULT_RATIO_TOL, MAX_EPS
+from ldpopt.core import DEFAULT_RATIO_TOL, MAX_EPS, ROW_SUM_TOL
 
 
 def _random_staircase_rows(rng, k, eps):
@@ -87,6 +87,123 @@ class TestMechanismValidation:
                               L.make_distribution([0.4, 0.6]), 1.0)):
             np.testing.assert_allclose(Q.rows.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(Q.rows >= 0)
+
+
+def _check_by_check_distribution(probs):
+    """The check-by-check rule Distribution applies to a 1-d vector of at
+    least 2 entries: None to accept, else (exception class, message)."""
+    if not np.all(np.isfinite(probs)):
+        return L.NotNormalizable, "non-finite probability mass"
+    if np.any(probs < 0):
+        return L.NegativeMass, "negative probability mass"
+    if abs(float(probs.sum()) - 1.0) > ROW_SUM_TOL:
+        return L.NotNormalizable, f"masses sum to {probs.sum()!r}, not 1"
+    return None
+
+
+def _check_by_check_mechanism(rows):
+    """The same for Mechanism on a nonempty 2-d matrix."""
+    if not np.all(np.isfinite(rows)):
+        return ValueError, "non-finite mechanism entry"
+    if np.any(rows < 0):
+        return L.NegativeMass, "negative mechanism entry"
+    row_sums = rows.sum(axis=1)
+    if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOL:
+        bad = int(np.argmax(np.abs(row_sums - 1.0)))
+        return L.NotNormalizable, f"row {bad} sums to {row_sums[bad]!r}, not 1"
+    return None
+
+
+def _assert_same_verdict(arr):
+    """Distribution (1-d) or Mechanism (2-d) accepts arr exactly when the
+    check-by-check rule does, and otherwise raises its class and message."""
+    arr = np.array(arr, dtype=float)
+    ctor, rule = ((L.Distribution, _check_by_check_distribution) if arr.ndim == 1
+                  else (L.Mechanism, _check_by_check_mechanism))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        expected = rule(arr)
+        try:
+            ctor(arr)
+            got = None
+        except ValueError as exc:
+            got = type(exc), str(exc)
+    assert got == expected, arr
+
+
+# Entries the one-pass test must treat as the check-by-check rule does.
+_SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, -1e-300, -5e-324, 5e-324, 1e300)
+
+
+def _near(x, ulps=3):
+    """x and the floats up to `ulps` steps either side of it."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(ulps):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+class TestOnePassValidation:
+    def test_row_sum_edges(self):
+        # Row sums at 1 +- ROW_SUM_TOL and a few ulps either side; the float
+        # nearest 1 + ROW_SUM_TOL is above it and must be rejected.
+        for edge in (1.0 - ROW_SUM_TOL, 1.0 + ROW_SUM_TOL, 1.0):
+            for s in _near(edge):
+                for arr in ([s, 0.0], [0.0, s], [s - 0.25, 0.25],
+                            [[s]], [[s, 0.0], [0.5, 0.5]], [[0.5, 0.5], [-0.0, s]]):
+                    _assert_same_verdict(arr)
+        with pytest.raises(L.NotNormalizable):
+            L.Distribution(np.array([1.0 + ROW_SUM_TOL, 0.0]))
+
+    def test_special_entries(self):
+        for v in _SPECIAL:
+            for arr in ([v, 1.0], [1.0, v], [v, 0.5, 0.5], [v, v],
+                        [[v, 1.0]], [[0.5, 0.5], [1.0, v]], [[v]], [[v, -v]]):
+                _assert_same_verdict(arr)
+
+    def test_seeded(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(400):
+            k, l = rng.integers(1, 6, size=2)
+            rows = rng.dirichlet(np.ones(l), size=k)
+            rows *= rng.choice([1.0, 1.0 - ROW_SUM_TOL, 1.0 + ROW_SUM_TOL,
+                                1.0 - 2e-12, 1.0 + 2e-12], size=(k, 1))
+            if rng.random() < 0.5:
+                rows[rng.integers(k), rng.integers(l)] = rng.choice(_SPECIAL)
+            _assert_same_verdict(rows)
+            if l >= 2:
+                _assert_same_verdict(rows[0])
+
+    def test_hypothesis(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, strategies as st
+
+        entries = st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                            st.sampled_from(_SPECIAL), st.floats())
+        scales = st.sampled_from([1.0, *_near(1.0 - ROW_SUM_TOL, 2),
+                                  *_near(1.0 + ROW_SUM_TOL, 2)])
+
+        @st.composite
+        def matrices(draw):
+            k, l = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+            rows = np.array(draw(st.lists(st.lists(entries, min_size=l, max_size=l),
+                                          min_size=k, max_size=k)))
+            with np.errstate(all="ignore"):
+                if draw(st.booleans()):
+                    sums = rows.sum(axis=1, keepdims=True)
+                    rows = np.where(sums > 0, rows / sums, rows)
+                return rows * draw(scales)
+
+        @given(matrices())
+        def check(rows):
+            _assert_same_verdict(rows)
+            if rows.shape[1] >= 2:
+                _assert_same_verdict(rows[0])
+
+        check()
 
 
 _P0 = L.make_distribution([0.5, 0.2, 0.3])

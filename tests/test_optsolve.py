@@ -10,7 +10,7 @@ import ldpopt as L
 from ldpopt import optsolve
 from ldpopt.core import MAX_EPS
 from ldpopt.optsolve import (ORACLE_NEG_TOL, PIVOT_TOL, _difference_rows,
-                             _run_simplex)
+                             _rr_inverse, _run_simplex)
 
 
 def _random_specs(rng, k):
@@ -370,6 +370,45 @@ class TestSolve:
         moved[0] = 0.0
         np.testing.assert_allclose(lp.pattern.matrix @ moved, 1.0, atol=1e-9)
         assert lp.obj @ moved == pytest.approx(sol.value, abs=1e-12)
+
+
+class TestStartInverse:
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_matches_inv(self, k):
+        # Every entry of the inverse is O(1), so 1e-14 is absolute.
+        basis = 1 << (k - 1 - np.arange(k))
+        for eps in (0.0, 1e-12, 1e-8, 0.5, 5.0, 30.0, 700.0, MAX_EPS):
+            A, scale = _difference_rows(L.pattern_matrix(k, eps))
+            np.testing.assert_allclose(_rr_inverse(k, 1.0 / scale[1]),
+                                       np.linalg.inv(A[:, basis]), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6, 8, 12])
+    def test_solve_follows_the_inv_start(self, k):
+        # solve from the closed-form inverse reaches the value of the simplex
+        # started from np.linalg.inv of the basis, and for KL, chi^2 and MI
+        # by the same pivots to the same basis. TV's best reduced costs tie
+        # to the last bit, so which tied column enters follows the rounding
+        # of the start inverse: its path may differ, but not its optimum.
+        for i in range(2):
+            rng = np.random.default_rng([53, k, i])
+            p0 = L.make_distribution(rng.dirichlet(np.ones(k)))
+            p1 = L.make_distribution(rng.dirichlet(np.ones(k)))
+            specs = [L.hypothesis_testing(kind, p0, p1) for kind in (L.KL, L.TV, L.CHI2)]
+            for spec in [*specs, L.information_preservation(p0)]:
+                for eps in (0.0, 0.01, 0.5, 2.0, 8.0, 30.0):
+                    lp = L.build_lp(spec, eps)
+                    A, scale = _difference_rows(lp.pattern)
+                    cost = lp.obj / scale
+                    cost /= np.abs(cost).max() or 1.0
+                    basis = 1 << (k - 1 - np.arange(k))
+                    pivots = _run_simplex(A, np.linalg.inv(A[:, basis]), basis, cost)
+                    sol = L.solve(lp)
+                    if spec.kind is not L.TV:
+                        assert (sol.basis, sol.pivots) == (tuple(sorted(basis.tolist())),
+                                                           pivots)
+                    theta = np.zeros(lp.num_columns)
+                    theta[basis] = np.linalg.solve(A[:, basis], np.eye(k)[0]) / scale[basis]
+                    assert sol.value == pytest.approx(lp.obj @ theta, rel=1e-15, abs=1e-300)
 
 
 class TestSimplexBreakdown:
