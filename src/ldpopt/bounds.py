@@ -47,28 +47,46 @@ def _require_pair(P0: Distribution, P1: Distribution) -> None:
         raise ValueError("priors must be positive")
 
 
+def _kl_terms(b: np.ndarray, d: np.ndarray, scale: float) -> np.ndarray:
+    """a log(a / b) / scale for a = b + d, 0 where a or b is 0: the log1p of
+    |d| / min(a, b) with the sign of d, so a d formed from delta = e^eps - 1
+    keeps its relative precision, and a / scale stays in the float range."""
+    a = b + d
+    lo = np.minimum(a, b)
+    r = np.divide(np.abs(d), lo, out=np.zeros(lo.shape), where=lo > 0)
+    return a / scale * np.copysign(np.log1p(r), d)
+
+
+def _rr_kl(p0: np.ndarray, p1: np.ndarray, eps: float) -> float:
+    """KL divergence of the marginals randomized response induces from p0, p1."""
+    exp_eps(eps)
+    delta = math.expm1(eps)
+    return float(_kl_terms(1 + delta * p1, delta * (p0 - p1), delta + p0.size).sum())
+
+
+def _rr_mi(p: np.ndarray, eps: float) -> float:
+    """Mutual information of randomized response under p: each output y
+    against input y (entry 1 + delta) and the other inputs (entry 1)."""
+    exp_eps(eps)
+    delta = math.expm1(eps)
+    mass, g = 1 + delta * p, delta * p * (1 - p)
+    return float((_kl_terms(p * mass, g, delta + p.size)
+                  + _kl_terms((1 - p) * mass, -g, delta + p.size)).sum())
+
+
 def binary_kl_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
-    """Exact KL divergence of the induced marginals under the two-output split."""
+    """Exact KL divergence of the induced marginals under the two-output split:
+    randomized response on the split's two masses."""
     _require_pair(P0, P1)
-    e = exp_eps(eps)
     split = ht_partition(P0, P1)
     t0, t1 = split.mass, P1.mass(split.members)
-    total = 0.0
-    for a, b in (((e - 1) * t0 + 1, (e - 1) * t1 + 1),
-                 ((e - 1) * (1 - t0) + 1, (e - 1) * (1 - t1) + 1)):
-        total += (a / (e + 1)) * math.log(a / b)
-    return total
+    return _rr_kl(np.array([t0, 1 - t0]), np.array([t1, 1 - t1]), eps)
 
 
 def rr_kl_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
     """Exact KL divergence of the induced marginals under randomized response."""
     _require_pair(P0, P1)
-    e = exp_eps(eps)
-    a = P0.probs * (e - 1) + 1
-    b = P1.probs * (e - 1) + 1
-    # Each term is divided before the sum, which can exceed the float range
-    # near MAX_EPS.
-    return float((a / (e + P0.k - 1) * np.log(a / b)).sum())
+    return _rr_kl(P0.probs, P1.probs, eps)
 
 
 def binary_tv_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
@@ -79,26 +97,19 @@ def binary_tv_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
 
 
 def binary_mi_closed(P: Distribution, eps: float) -> float:
-    """Exact mutual information of the two-output information split."""
+    """Exact mutual information of the two-output information split:
+    randomized response on the split's two masses."""
     if not P.is_positive:
         raise ValueError("prior must be positive")
-    e = exp_eps(eps)
     t = mi_partition(P).mass
-    tc = 1.0 - t
-    return (
-        t * e * math.log(e / (tc + e * t)) + tc * math.log(1.0 / (tc + e * t))
-        + tc * e * math.log(e / (t + e * tc)) + t * math.log(1.0 / (t + e * tc))
-    ) / (e + 1)
+    return _rr_mi(np.array([t, 1 - t]), eps)
 
 
 def rr_mi_closed(P: Distribution, eps: float) -> float:
     """Exact mutual information under randomized response."""
     if not P.is_positive:
         raise ValueError("prior must be positive")
-    e = exp_eps(eps)
-    a = P.probs * (e - 1) + 1
-    d = e + P.k - 1
-    return float((P.probs * (e / d) * np.log(e / a) + (1 - P.probs) / d * np.log(1 / a)).sum())
+    return _rr_mi(P.probs, eps)
 
 
 def g_correction(P0: Distribution, P1: Distribution) -> float:

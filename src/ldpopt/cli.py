@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -78,13 +79,24 @@ class SweepConfig:
     out_path: str | None = None
 
     def __post_init__(self):
+        # A --config file can give any JSON value; each error names its field.
+        # int and float come first in the isinstance tuples, as a check
+        # against a numbers ABC alone takes about 1 us per value.
+        for name in ("seed", "k", "num_instances"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.num_instances < 1:
             raise ValueError("need at least one instance")
-        if not self.eps_grid:
-            raise ValueError("eps grid must be nonempty")
+        if not isinstance(self.eps_grid, (list, tuple)) or not self.eps_grid:
+            raise ValueError(f"eps_grid must be a nonempty list of numbers, "
+                             f"got {self.eps_grid!r}")
+        object.__setattr__(self, "eps_grid", tuple(self.eps_grid))
         for eps in self.eps_grid:
+            if isinstance(eps, bool) or not isinstance(eps, (float, int, numbers.Real)):
+                raise ValueError(f"eps_grid: {eps!r} is not a number")
             exp_eps(eps)
         if self.utility not in ("kl", "tv", "chi2", "mi"):
             raise ValueError(f"unknown utility {self.utility!r}")
@@ -339,7 +351,6 @@ def cmd_sweep(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
-        raw["eps_grid"] = tuple(raw["eps_grid"])
         raw["mechanisms"] = tuple(raw.get("mechanisms", SWEEP_MECHANISMS))
         if args.out:
             raw["out_path"] = args.out

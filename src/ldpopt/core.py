@@ -203,8 +203,8 @@ class PatternMatrix:
 
     @property
     def delta(self) -> float:
-        """e^eps - 1."""
-        return exp_eps(self.eps) - 1.0
+        """e^eps - 1, by expm1: full relative precision at small eps."""
+        return math.expm1(self.eps)
 
     def column(self, j) -> np.ndarray:
         """Pattern column j, 0-indexed; an index array or slice gives the

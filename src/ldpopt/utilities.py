@@ -3,18 +3,16 @@ per-column sublinear scores that reduce them to sums over mechanism columns.
 
 Every utility here decomposes as U(Q) = sum_y mu(Q_y) for a positively
 homogeneous, subadditive mu, which is what makes the extremal-mechanism LP
-work. Each score is written once, in `column_scores` (the f-divergence
-terms b f(a/b) in `FDivergenceKind.terms`); `utility`, `column_utility`,
-`f_divergence` and `mutual_information` all call it. The LP objective comes
-from `pattern_scores`, which evaluates the same scores on the two-valued
-pattern columns from their prior masses: the f-divergence terms through
-`FDivergenceKind.terms` again, and mutual information in its two-value
-form. All logarithms are natural; divergences are in nats.
+work. Each generator's term b f(a/b) is written once, as
+`FDivergenceKind.terms(b, d)` of the marginal b and d = a - b, and every score
+goes through it; mutual information is the KL terms sum_x P(x) D(Q(.|x) || M).
+Callers form d before rounding, as (P0 - P1).c or P(x) (c(x) - P.c), so terms
+of order e^eps - 1 keep the relative precision that a - b of two rounded
+marginals would lose. All logarithms are natural; divergences are in nats.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,24 +40,26 @@ class FDivergenceKind:
     tag: str
     custom_f: Callable[[float], float] | None = None
 
-    def terms(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """b f(a / b) elementwise; 0 where a = b = 0.
+    def terms(self, b: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """b f(a / b) elementwise for a = b + d; 0 where a = b = 0.
 
-        TV is half |a - b| everywhere and needs no support condition. For the
-        other generators a must vanish wherever b does (absolute
-        continuity); callers check that.
+        TV is half |d| everywhere. For the other generators a must vanish
+        wherever b does (absolute continuity); callers check that. KL's
+        log(a / b) is the log1p of |d| / min(a, b) with the sign of d, which
+        keeps its relative precision for a near b and for a or b near 0.
         """
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self.tag == "kl":
-                return np.where(a > 0, a * np.log(a / b), 0.0)
-            if self.tag == "tv":
-                return 0.5 * np.abs(a - b)
-            if self.tag == "chi2":
-                return np.where(b > 0, (a - b) * ((a - b) / b), 0.0)
+        if self.tag == "kl":
+            a = b + d
+            lo = np.minimum(a, b)
+            r = np.divide(np.abs(d), lo, out=np.zeros(lo.shape), where=lo > 0)
+            return a * np.copysign(np.log1p(r, out=r), d, out=r)
+        if self.tag == "tv":
+            return 0.5 * np.abs(d)
+        if self.tag == "chi2":
+            return d * np.divide(d, b, out=np.zeros(b.shape), where=b > 0)
         f = np.vectorize(self.custom_f, otypes=[float])
         pos = b > 0
-        ratios = a[pos] / b[pos]
+        ratios = 1.0 + d[pos] / b[pos]
         _spot_check_convexity(f, ratios)
         out = np.zeros(b.shape)
         out[pos] = b[pos] * f(ratios)
@@ -158,7 +158,7 @@ def f_divergence(kind: FDivergenceKind, M0: Distribution, M1: Distribution) -> f
     a, b = M0.probs, M1.probs
     if kind.tag != "tv" and np.any((b == 0) & (a > 0)):
         raise AbsoluteContinuityViolated("M0 has mass where M1 has none")
-    return float(kind.terms(a, b).sum())
+    return float(kind.terms(b, a - b).sum())
 
 
 def mutual_information(P: Distribution, Q: Mechanism) -> float:
@@ -179,11 +179,10 @@ def column_scores(spec: UtilitySpec, C: np.ndarray) -> np.ndarray:
     c(x) = 0. An all-zero column scores 0.
     """
     if spec.objective == "ht":
-        return spec.kind.terms(spec.p0.probs @ C, spec.p1.probs @ C)
-    p = spec.p.probs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = p[:, None] * C * (np.log(C) - np.log(p @ C))
-    return np.where(C > 0, terms, 0.0).sum(axis=0)
+        return spec.kind.terms(spec.p1.probs @ C, (spec.p0.probs - spec.p1.probs) @ C)
+    p = spec.p.probs[:, None]
+    m = spec.p.probs @ C
+    return KL.terms(p * m, p * (C - m)).sum(axis=0)
 
 
 def pattern_scores(spec: UtilitySpec, pattern: PatternMatrix) -> np.ndarray:
@@ -192,29 +191,28 @@ def pattern_scores(spec: UtilitySpec, pattern: PatternMatrix) -> np.ndarray:
     Column j is 1 + delta * bits_j, so its score depends on the priors only
     through the masses they put on its 1 + delta entries: m0 = P0 . bits_j
     and m1 = P1 . bits_j, or m = P . bits_j.
-    Hypothesis testing: the same f-divergence terms at a = 1 + delta m0 and
-    b = 1 + delta m1.
-    Information preservation: the two-valued column gives
-    m (1 + delta) log((1 + delta) / (1 + delta m)) - (1 - m) log(1 + delta m),
-    with the logs taken by log1p.
+    Hypothesis testing: the terms of b = 1 + delta m1, d = delta (m0 - m1).
+    Information preservation: the inputs with entry 1 + delta, and those
+    with entry 1, give one KL term each against the column mass
+    w = 1 + delta m, with d = +-delta m (1 - m).
     """
     bits, delta = pattern.bits, pattern.delta
     if spec.objective == "ht":
-        return spec.kind.terms(1.0 + delta * (spec.p0.probs @ bits),
-                               1.0 + delta * (spec.p1.probs @ bits))
+        return spec.kind.terms(1.0 + delta * (spec.p1.probs @ bits),
+                               delta * ((spec.p0.probs - spec.p1.probs) @ bits))
     m = spec.p.probs @ bits
-    log_mass = np.log1p(delta * m)
-    return m * (1.0 + delta) * (math.log1p(delta) - log_mass) - (1.0 - m) * log_mass
+    w = 1.0 + delta * m
+    g = delta * m * (1.0 - m)
+    return KL.terms(m * w, g) + KL.terms((1.0 - m) * w, -g)
 
 
 def column_utility(spec: UtilitySpec, col: np.ndarray) -> float:
     """The sublinear column score mu(Q_y) of one column; see `column_scores`."""
-    c = np.asarray(col, dtype=float)
-    if c.ndim != 1 or c.size != spec.k:
+    if np.ndim(col) != 1 or np.size(col) != spec.k:
         raise DimensionMismatch(f"column must have length {spec.k}")
-    if np.any(c < 0):
+    if np.any(np.less(col, 0)):
         raise ValueError("column entries must be nonnegative")
-    return float(column_scores(spec, c[:, None])[0])
+    return float(column_scores(spec, np.reshape(col, (-1, 1)))[0])
 
 
 def utility(spec: UtilitySpec, Q: Mechanism) -> float:

@@ -121,6 +121,71 @@ class TestClosedFormValues:
         assert L.rr_mi_closed(p, 30.0) == pytest.approx(L.entropy(p), abs=1e-6)
 
 
+def _mp_normalized(mp, P):
+    """The float prior's masses divided by their sum in mpmath."""
+    q = [mp.mpf(float(x)) for x in P.probs]
+    total = mp.fsum(q)
+    return [x / total for x in q]
+
+
+def _mp_kl_terms(mp, q0, q1, Q):
+    """The terms a log(a / b) of KL(q0 Q || q1 Q), one per output."""
+    terms = []
+    for y in range(len(Q[0])):
+        a = mp.fsum(x * row[y] for x, row in zip(q0, Q))
+        b = mp.fsum(x * row[y] for x, row in zip(q1, Q))
+        terms.append(a * mp.log(a / b))
+    return terms
+
+
+def _mp_mi_terms(mp, q, Q):
+    """The terms q(x) Q(y|x) log(Q(y|x) / (q Q)(y)) of I(X; Y)."""
+    marginal = [mp.fsum(x * row[y] for x, row in zip(q, Q)) for y in range(len(Q[0]))]
+    return [x * row[y] * mp.log(row[y] / m)
+            for x, row in zip(q, Q) for y, m in enumerate(marginal)]
+
+
+class TestClosedFormPrecision:
+    # At small eps each closed form sums terms of order delta = e^eps - 1
+    # that cancel to a value of order delta^2. Its error is then the rounding
+    # of those terms and of their inputs: a few units of the roundoff u each,
+    # and k u from the split masses and from the priors' float sums. That is
+    # at most 8 k u times the sum of the terms' sizes, or c u / delta
+    # relative to the value. The reference is the same mechanism in 60
+    # digits, built from its definition, with the priors normalized there.
+    @pytest.mark.parametrize("k", [2, 3, 6, 12])
+    def test_matches_60_digit_values(self, k):
+        mp = pytest.importorskip("mpmath")
+        u = np.finfo(float).eps / 2
+        for i in range(5):
+            rng = np.random.default_rng([31, k, i])
+            p0 = L.make_distribution(rng.dirichlet(np.ones(k)))
+            p1 = L.make_distribution(rng.dirichlet(np.ones(k)))
+            ht_split = L.ht_partition(p0, p1).members
+            mi_split = L.mi_partition(p0).members
+            for eps in (1e-8, 1e-6, 1e-4, 1e-2):
+                with mp.workdps(60):
+                    q0, q1 = _mp_normalized(mp, p0), _mp_normalized(mp, p1)
+                    e = mp.exp(mp.mpf(eps))
+                    rr = [[(e if x == y else 1) / (e + k - 1) for y in range(k)]
+                          for x in range(k)]
+
+                    def binary(split):
+                        return [[e / (1 + e), 1 / (1 + e)] if x in split
+                                else [1 / (1 + e), e / (1 + e)] for x in range(k)]
+
+                    cases = [
+                        (L.binary_kl_closed(p0, p1, eps),
+                         _mp_kl_terms(mp, q0, q1, binary(ht_split))),
+                        (L.rr_kl_closed(p0, p1, eps), _mp_kl_terms(mp, q0, q1, rr)),
+                        (L.binary_mi_closed(p0, eps), _mp_mi_terms(mp, q0, binary(mi_split))),
+                        (L.rr_mi_closed(p0, eps), _mp_mi_terms(mp, q0, rr)),
+                    ]
+                    for got, terms in cases:
+                        tol = 8 * k * u * float(mp.fsum(abs(t) for t in terms))
+                        assert abs(got - float(mp.fsum(terms))) <= tol
+
+
 class TestConverseSuite:
     def test_duchi_and_pinsker_on_mechanism_zoo(self):
         rng = np.random.default_rng(45)

@@ -234,6 +234,24 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err == "error: --eps-grid: '' is not a number in '0.5,,1'\n"
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("k", 2.5, "k must be an integer, got 2.5"),
+        ("num_instances", 1.5, "num_instances must be an integer, got 1.5"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("eps_grid", 1.0, "eps_grid must be a nonempty list of numbers, got 1.0"),
+        ("eps_grid", ["a"], "eps_grid: 'a' is not a number"),
+    ])
+    def test_bad_config_field_is_named(self, tmp_path, capsys, field, value, message):
+        cfg = dict(self.CFG, eps_grid=list(self.CFG["eps_grid"]))
+        cfg[field] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("k", [1, 13])
     def test_k_outside_range_is_named(self, capsys, k):
         assert main(["sweep", "--k", str(k), "--eps-grid", "1",

@@ -316,6 +316,55 @@ class TestSolve:
                 assert L.solve(lp).value >= L.utility(spec, binary) - tol
 
     @pytest.mark.parametrize("k", [3, 6, 12])
+    @pytest.mark.parametrize("utility", ["kl", "mi"])
+    def test_high_privacy_matches_60_digit_binary(self, k, utility):
+        # At eps <= 1e-3 the binary mechanism is optimal on these priors, so
+        # the optimum is its value, here in 60 digits. The priors are
+        # normalized in mpmath: their float sums are off 1 by up to k u (u
+        # the unit roundoff), which would outweigh an O(delta^2) optimum at
+        # small eps. Each basic column's score is O(delta) and errs by about
+        # k u delta, as its difference is a k-term dot product times delta
+        # = e^eps - 1; against the O(delta^2) optimum that is c k u / delta
+        # relative, and c = 32 covers the priors' spread.
+        mp = pytest.importorskip("mpmath")
+        u = np.finfo(float).eps / 2
+        for i in range(5):
+            rng = np.random.default_rng([31, k, i])
+            p0 = L.make_distribution(rng.dirichlet(np.ones(k)))
+            p1 = L.make_distribution(rng.dirichlet(np.ones(k)))
+            if utility == "kl":
+                spec = L.hypothesis_testing(L.KL, p0, p1)
+                split = L.ht_partition(p0, p1).members
+            else:
+                spec = L.information_preservation(p0)
+                split = L.mi_partition(p0).members
+            for eps in (1e-6, 1e-5, 1e-4, 1e-3):
+                with mp.workdps(60):
+                    q0 = [mp.mpf(float(x)) for x in p0.probs]
+                    q0 = [x / mp.fsum(q0) for x in q0]
+                    q1 = [mp.mpf(float(x)) for x in p1.probs]
+                    q1 = [x / mp.fsum(q1) for x in q1]
+                    e = mp.exp(mp.mpf(eps))
+                    # Output 0 is e / (1 + e) on the split and 1 / (1 + e)
+                    # off it, output 1 the reverse: (1 + e) times the output
+                    # marginal of a prior with mass t on the split.
+                    def marginal(q):
+                        t = mp.fsum(q[x] for x in split)
+                        return t * e + (1 - t), (1 - t) * e + t
+
+                    m0 = marginal(q0)
+                    if utility == "kl":
+                        m1 = marginal(q1)
+                        want = mp.fsum(a * mp.log(a / b) for a, b in zip(m0, m1)) / (1 + e)
+                    else:
+                        t = mp.fsum(q0[x] for x in split)
+                        want = (t * (e * mp.log(e / m0[0]) + mp.log(1 / m0[1]))
+                                + (1 - t) * (mp.log(1 / m0[0]) + e * mp.log(e / m0[1]))) / (1 + e)
+                got = L.solve(L.build_lp(spec, eps)).value
+                tol = 32 * k * u / math.expm1(eps) * float(want)
+                assert abs(got - float(want)) <= tol
+
+    @pytest.mark.parametrize("k", [3, 6, 12])
     def test_returned_basis_prices_out(self, k):
         # Re-price the returned basis from a fresh solve of its dual, not
         # from the simplex's updated basis inverse. The simplex stops at

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,25 @@ class TestFDivergence:
         with pytest.raises(L.ConvexityViolation):
             L.f_divergence(kind, M0, M1)
 
+    def test_terms_zero_where_the_rule_says(self):
+        # (b, d) with a = b + d: an all-zero column, a = 0 < b, and b = 0 < a.
+        # KL's term at b = 0 < a is outside its support and left out.
+        b = np.array([0.0, 0.5, 0.0])
+        d = np.array([0.0, -0.5, 0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kl = L.KL.terms(b[:2], d[:2])
+            tv = L.TV.terms(b, d)
+            chi2 = L.CHI2.terms(b, d)
+            custom = L.custom(lambda x: (x - 1.0) ** 2).terms(b, d)
+            kl_zero_mass = L.f_divergence(L.KL, L.Distribution(np.array([0.0, 1.0])),
+                                          L.make_distribution([0.5, 0.5]))
+        assert kl.tolist() == [0.0, 0.0]
+        assert tv.tolist() == [0.0, 0.25, 0.15]
+        assert chi2.tolist() == [0.0, 0.5, 0.0]
+        assert custom.tolist() == [0.0, 0.5, 0.0]
+        assert kl_zero_mass == pytest.approx(math.log(2.0), rel=1e-15)
+
 
 class TestMutualInformation:
     def test_identity_gives_entropy(self):
@@ -98,6 +118,45 @@ class TestColumnUtility:
         assert L.column_utility(spec, np.zeros(2)) == 0.0
         spec_mi = L.information_preservation(L.make_distribution([0.5, 0.5]))
         assert L.column_utility(spec_mi, np.zeros(2)) == 0.0
+
+    def test_zero_column_every_kind(self):
+        p0, p1 = L.make_distribution([0.7, 0.3]), L.make_distribution([0.3, 0.7])
+        kinds = (L.KL, L.TV, L.CHI2, L.custom(lambda x: (x - 1.0) ** 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in kinds:
+                spec = L.hypothesis_testing(kind, p0, p1)
+                assert L.column_utility(spec, np.zeros(2)) == 0.0
+
+    def test_scores_match_60_digit_values(self):
+        # A column's KL score is a log(a / b) itself, not shifted by a
+        # multiple of a - b: such a shift cancels in a mechanism's sum but not
+        # in one column. Its MI score sum_x P(x) c(x) log(c(x) / P.c) is
+        # pinned too. Each score sums at most k terms whose inputs are k-term
+        # dot products, so it errs by at most 16 k u times the masses and the
+        # terms' sizes (u the unit roundoff).
+        mp = pytest.importorskip("mpmath")
+        u = np.finfo(float).eps / 2
+        rng = np.random.default_rng(72)
+        for k in (2, 3, 6):
+            p0 = L.make_distribution(rng.dirichlet(np.ones(k)))
+            p1 = L.make_distribution(rng.dirichlet(np.ones(k)))
+            kl = L.hypothesis_testing(L.KL, p0, p1)
+            mi = L.information_preservation(p0)
+            for _ in range(20):
+                col = rng.random(k)
+                with mp.workdps(60):
+                    c = [mp.mpf(float(x)) for x in col]
+                    q0 = [mp.mpf(float(x)) for x in p0.probs]
+                    q1 = [mp.mpf(float(x)) for x in p1.probs]
+                    a = mp.fsum(x * y for x, y in zip(q0, c))
+                    b = mp.fsum(x * y for x, y in zip(q1, c))
+                    kl_terms = [a * mp.log(a / b)]
+                    mi_terms = [x * y * mp.log(y / a) for x, y in zip(q0, c)]
+                for spec, terms, mass in ((kl, kl_terms, a + b), (mi, mi_terms, 2 * a)):
+                    size = float(mass + mp.fsum(abs(t) for t in terms))
+                    want = float(mp.fsum(terms))
+                    assert abs(L.column_utility(spec, col) - want) <= 16 * k * u * size
 
     def test_ht_kl_example(self):
         spec = L.hypothesis_testing(L.KL, L.make_distribution([0.7, 0.3]),
