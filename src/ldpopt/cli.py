@@ -18,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import binary_utility, converse_suite, mi_converse_suite
+from .bounds import converse_suite, mi_converse_suite
 from .core import (MAX_LP_K, Distribution, Mechanism, effective_epsilon, exp_eps,
                    induced_marginal, is_approx_private, is_locally_private,
                    is_staircase, make_distribution, mechanism_from_json,
                    mechanism_to_json)
-from .mechanisms import (binary_ht, binary_mi, geometric, quaternary,
-                         randomized_response)
+from .mechanisms import (binary_ht, binary_mi, geometric, ht_partition,
+                         mi_partition, quaternary, randomized_response)
 from .optsolve import (DegenerateBasis, NumericalBreakdown, build_lp,
                        extract_mechanism, solve)
 from .regions import region_eps_delta, tradeoff_region
@@ -139,30 +139,43 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
 
     Ratios are utility / LP-optimum; instances where the optimum is zero
     (eps = 0) count as ratio 1 since the gap is zero.
+
+    optimal is the LP optimum. binary and rr are read off the LP objective,
+    since both mechanisms are scaled pattern columns and every column score
+    is positively homogeneous (delta = e^eps - 1): randomized response is
+    the k one-bit columns 1 << (k - 1 - x) over k + delta, and the binary
+    mechanism is the column j_T of its split T and the complement column,
+    over 2 + delta. T is {x : P0(x) >= P1(x)}, or mi_partition's split for
+    mutual information, found once per instance. mixed is the larger of
+    binary and rr. geometric is scored by `utility` on one mechanism per
+    eps, shared by every instance.
     """
+    k, wanted = cfg.k, set(cfg.mechanisms)
+    geo = ({eps: geometric(k, eps) for eps in cfg.eps_grid if eps > 0}
+           if "geometric" in wanted else {})
+    one_bit = 1 << (k - 1 - np.arange(k))
     rows = []
     for instance_id in range(cfg.num_instances):
         spec = _instance_priors(cfg, instance_id)
+        split = (mi_partition(spec.p) if spec.objective == "mi"
+                 else ht_partition(spec.p0, spec.p1))
+        j_t = sum(1 << (k - 1 - x) for x in split.members)
         for eps in cfg.eps_grid:
             try:
-                sol = solve(build_lp(spec, eps))
+                lp = build_lp(spec, eps)
+                sol = solve(lp)
             except NumericalBreakdown as exc:
                 raise NumericalBreakdown(
-                    f"utility={cfg.utility} k={cfg.k} eps={eps} seed={cfg.seed} "
+                    f"utility={cfg.utility} k={k} eps={eps} seed={cfg.seed} "
                     f"instance_id={instance_id}: {exc}") from exc
-            opt = sol.value
-            values = {}
-            if {"binary", "mixed"} & set(cfg.mechanisms):
-                values["binary"] = binary_utility(spec, eps)
-            if {"rr", "mixed"} & set(cfg.mechanisms):
-                values["rr"] = utility(spec, randomized_response(cfg.k, eps))
-            if "geometric" in cfg.mechanisms and eps > 0:
-                values["geometric"] = utility(spec, geometric(cfg.k, eps))
-            if "optimal" in cfg.mechanisms:
-                values["optimal"] = opt
-            if "mixed" in cfg.mechanisms:
-                values["mixed"] = max(values["binary"], values["rr"])
-            for name in sorted(set(cfg.mechanisms) & set(values)):
+            opt, obj, delta = sol.value, lp.obj, lp.pattern.delta
+            binary = float(obj[j_t] + obj[(2**k - 1) ^ j_t]) / (2.0 + delta)
+            rr = float(obj[one_bit].sum()) / (k + delta)
+            values = {"binary": binary, "rr": rr, "mixed": max(binary, rr),
+                      "optimal": opt}
+            if eps in geo:
+                values["geometric"] = utility(spec, geo[eps])
+            for name in sorted(wanted & set(values)):
                 v = values[name]
                 ratio = v / opt if opt > ZERO_OPT else 1.0
                 rows.append(SweepRow(instance_id, eps, name, v, opt, ratio))

@@ -121,18 +121,22 @@ def make_distribution(values: Sequence[float]) -> Distribution:
     """Build a Distribution from nonnegative masses, normalizing by their sum.
 
     Raises NegativeMass on any negative entry and NotNormalizable when the
-    sum is zero or not finite.
+    sum is zero or not finite. Valid masses are checked once, by
+    Distribution on the normalized vector: a positive finite sum leaves a
+    negative mass negative there. Any other sum, from a NaN, an infinity,
+    a negative or an overflow, is diagnosed here.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise DimensionMismatch("need at least 2 masses")
-    if not np.all(np.isfinite(arr)):
-        raise NotNormalizable("non-finite mass")
-    if np.any(arr < 0):
-        raise NegativeMass("negative mass")
-    total = float(arr.sum())
-    if total <= 0:
-        raise NotNormalizable("masses sum to zero")
+    with np.errstate(over="ignore"):
+        total = float(arr.sum())
+    if not 0.0 < total < math.inf:
+        if not np.all(np.isfinite(arr)):
+            raise NotNormalizable("non-finite mass")
+        if np.any(arr < 0):
+            raise NegativeMass("negative mass")
+        raise NotNormalizable(f"masses sum to {total!r}")
     return Distribution(arr / total)
 
 

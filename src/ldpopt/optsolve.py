@@ -29,7 +29,11 @@ Tsitsiklis, Introduction to Linear Optimization, sec. 3.3); the rest of a
 pivot is a fixed number of small numpy calls on k-vectors. Pricing is
 Dantzig's rule (most improving reduced cost), falling back to Bland's rule
 after BLAND_AFTER degenerate pivots in a row, until a pivot makes progress
-again.
+again. Ties in the ratio test go to the basic column of lowest cost under
+Dantzig's rule and to the lowest index under Bland's. The simplex stops
+when no reduced cost is below -PIVOT_TOL or below minus the reduced costs'
+rounding noise, so it does not stop while a pivot still gains more than
+rounding can explain.
 """
 
 from __future__ import annotations
@@ -53,6 +57,16 @@ from .utilities import UtilitySpec, pattern_scores
 MAX_ORACLE_K = 5
 
 PIVOT_TOL = 1e-10
+
+# Below -PIVOT_TOL a reduced cost always enters. Above it, a column still
+# enters while its reduced cost is below -PRICING_NOISE * k * (1 + |y|_1),
+# the rounding noise of y . A_j - c_j on the scaled rows: with |A| <= 1 and
+# |c| <= 1, the k-term dot product and the subtraction err by at most about
+# (k + 1) u (1 + |y|_1) (u = machine epsilon), and a factor of 4 covers the
+# rounding already in y and in the updated basis inverse. A stop at
+# PIVOT_TOL alone can end up to 7.6e-11 short of the TV optimum at
+# eps >= 22, where the last improving pivots gain less than it.
+PRICING_NOISE = 4 * np.finfo(float).eps
 
 # solve's feasibility certificate on the original S. S theta holds the
 # mechanism's row sums before normalization, so it gets the wire format's
@@ -117,6 +131,12 @@ def build_lp(spec: UtilitySpec, eps: float) -> StaircaseLP:
     return StaircaseLP(k=spec.k, eps=eps, obj=obj, pattern=pat)
 
 
+def _pricing_noise(y: np.ndarray) -> float:
+    """The rounding noise of the reduced costs under duals y; see
+    PRICING_NOISE."""
+    return PRICING_NOISE * y.size * (1.0 + float(np.abs(y).sum()))
+
+
 def _run_simplex(A: np.ndarray, Binv: np.ndarray, basis: np.ndarray,
                  cost: np.ndarray) -> int:
     """Revised primal simplex on A theta = e_0; returns the pivot count.
@@ -126,10 +146,15 @@ def _run_simplex(A: np.ndarray, Binv: np.ndarray, basis: np.ndarray,
     operations, so the basic solution is always Binv[:, 0]. Entering: the
     column with the most improving reduced cost (Dantzig), or, once
     BLAND_AFTER pivots in a row have been degenerate, the lowest-index
-    improving column (Bland) until a pivot moves the solution. Leaving:
-    among minimum-ratio rows, the one holding the lowest-index basic
-    variable. The feasible region is a bounded polytope, so an entering
-    column with no admissible row is numerical breakdown.
+    improving column (Bland) until a pivot moves the solution. A reduced
+    cost improves when it is below -PIVOT_TOL or below the rounding noise
+    -PRICING_NOISE * k * (1 + |y|_1); the noise is computed only when the
+    Dantzig minimum is above -PIVOT_TOL, and in Bland mode. Leaving: among
+    minimum-ratio rows, Dantzig mode takes the one whose basic variable has
+    the lowest cost, then the lowest index, which steers degenerate pivots
+    out of the columns that score least; Bland mode takes the lowest-index
+    basic variable. The feasible region is a bounded polytope, so an
+    entering column with no admissible row is numerical breakdown.
 
     The pricing product writes into one buffer, the basic costs are kept
     in step with the basis, and the k-row ratio test runs on Python floats.
@@ -145,13 +170,13 @@ def _run_simplex(A: np.ndarray, Binv: np.ndarray, basis: np.ndarray,
         np.dot(y, A, out=reduced)
         reduced -= cost
         if degenerate >= BLAND_AFTER:
-            candidates = np.flatnonzero(reduced < -PIVOT_TOL)
+            candidates = np.flatnonzero(reduced < -_pricing_noise(y))
             if candidates.size == 0:
                 return pivots
             j = int(candidates[0])
         else:
             j = int(reduced.argmin())
-            if reduced[j] >= -PIVOT_TOL:
+            if reduced[j] >= -PIVOT_TOL and reduced[j] >= -_pricing_noise(y):
                 return pivots
         d = Binv @ A[:, j]
         step, x = d.tolist(), Binv[:, 0].tolist()
@@ -161,7 +186,11 @@ def _run_simplex(A: np.ndarray, Binv: np.ndarray, basis: np.ndarray,
         ratios = [x[i] / step[i] for i in rows]
         rmin = min(ratios)
         cut = rmin + 1e-12 * max(1.0, abs(rmin))
-        r = min((i for i, q in zip(rows, ratios) if q <= cut), key=basis.__getitem__)
+        tied = (i for i, q in zip(rows, ratios) if q <= cut)
+        if degenerate >= BLAND_AFTER:
+            r = min(tied, key=basis.__getitem__)
+        else:
+            r = min(tied, key=lambda i: (basic_cost[i], basis[i]))
         Binv[r] /= step[r]
         d[r] = 0.0
         Binv -= np.multiply(d[:, None], Binv[r], out=outer)

@@ -192,18 +192,20 @@ def pattern_scores(spec: UtilitySpec, pattern: PatternMatrix) -> np.ndarray:
     through the masses they put on its 1 + delta entries: m0 = P0 . bits_j
     and m1 = P1 . bits_j, or m = P . bits_j.
     Hypothesis testing: the terms of b = 1 + delta m1, d = delta (m0 - m1).
-    Information preservation: the inputs with entry 1 + delta, and those
-    with entry 1, give one KL term each against the column mass
-    w = 1 + delta m, with d = +-delta m (1 - m).
+    Information preservation: against the column mass 1 + delta m, the
+    inputs with entry 1 + delta gain m (1 + delta) log1p(delta (1 - m) /
+    (1 + delta m)) and those with entry 1 lose (1 - m) log1p(delta m): the
+    two KL terms, whose signs are known here, in one pass.
     """
     bits, delta = pattern.bits, pattern.delta
     if spec.objective == "ht":
         return spec.kind.terms(1.0 + delta * (spec.p1.probs @ bits),
                                delta * ((spec.p0.probs - spec.p1.probs) @ bits))
     m = spec.p.probs @ bits
-    w = 1.0 + delta * m
-    g = delta * m * (1.0 - m)
-    return KL.terms(m * w, g) + KL.terms((1.0 - m) * w, -g)
+    rest = 1.0 - m
+    dm = delta * m
+    gain = np.log1p(delta * rest / (1.0 + dm))
+    return (1.0 + delta) * m * gain - rest * np.log1p(dm)
 
 
 def column_utility(spec: UtilitySpec, col: np.ndarray) -> float:

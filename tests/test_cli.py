@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ldpopt as L
-from ldpopt.cli import main
+from ldpopt.cli import _instance_priors, main
 
 
 class TestMechCommand:
@@ -198,6 +198,106 @@ class TestSweepCommand:
                 assert v == pytest.approx(max(index[(inst, eps, "binary")],
                                               index[(inst, eps, "rr")]))
 
+    NAMED_GRID = (0.0, 1e-6, 0.5, 8.0, 30.0)
+
+    @staticmethod
+    def _named_rows(k, utility, num_instances):
+        """run_sweep's binary and rr values with each instance's spec."""
+        cfg = L.SweepConfig(seed=11, k=k, num_instances=num_instances,
+                            eps_grid=TestSweepCommand.NAMED_GRID, utility=utility,
+                            mechanisms=("binary", "rr"))
+        specs = [_instance_priors(cfg, i) for i in range(num_instances)]
+        return [(specs[r.instance_id], r) for r in L.run_sweep(cfg)]
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 12])
+    @pytest.mark.parametrize("utility", ["kl", "tv", "chi2", "mi"])
+    def test_named_values_match_utility(self, k, utility):
+        # run_sweep reads binary and rr off the LP objective; utility()
+        # scores the built mechanisms. Both agree within 1e-9 relative, up
+        # to the priors' own rounding: each prior sums to 1 only within k u
+        # (u the unit roundoff), and utility() carries that into the value
+        # as up to about k u absolute (at most 0.75 k u in a scan of 1,280
+        # values), which is all there is of an O(delta^2) value at eps = 0
+        # and 1e-6.
+        u = np.finfo(float).eps / 2
+        for spec, r in self._named_rows(k, utility, 3):
+            if r.mechanism == "rr":
+                Q = L.randomized_response(k, r.eps)
+            elif utility == "mi":
+                Q = L.binary_mi(spec.p, r.eps)
+            else:
+                Q = L.binary_ht(spec.p0, spec.p1, r.eps)
+            assert r.utility_value == pytest.approx(L.utility(spec, Q), rel=1e-9,
+                                                    abs=2 * k * u)
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 12])
+    @pytest.mark.parametrize("utility", ["kl", "tv", "chi2", "mi"])
+    def test_named_values_against_50_digits(self, k, utility):
+        # The reference is the exact mechanism's utility at 50 digits, on
+        # the priors normalized in mpmath. The objective-read value is
+        # within its own rounding of it: each score read errs by at most
+        # 4 (k + 5) u times the size of the terms it sums (see
+        # test_objective_matches_scores_of_the_matrix), over the
+        # mechanism's scale k + delta or 2 + delta. That makes it no
+        # farther from the reference than utility() on the float mechanism
+        # beyond that rounding; utility() is off by the priors' sum error,
+        # which reached 15 % of a KL value at eps = 1e-6 (k = 2, sweep seed
+        # 42, instance 1).
+        mp = pytest.importorskip("mpmath")
+        u = np.finfo(float).eps / 2
+        for spec, r in self._named_rows(k, utility, 2):
+            eps = r.eps
+            lp = L.build_lp(spec, eps)
+            delta, bits = lp.pattern.delta, lp.pattern.bits
+            if utility == "mi":
+                m = spec.p.probs @ bits
+                size = ((1 + delta) * m * np.log1p(delta * (1 - m) / (1 + delta * m))
+                        + (1 - m) * np.log1p(delta * m))
+                split = L.mi_partition(spec.p).members
+                Q_old = L.binary_mi(spec.p, eps)
+            else:
+                size = np.abs(lp.obj) + delta * ((spec.p0.probs + spec.p1.probs) @ bits)
+                split = L.ht_partition(spec.p0, spec.p1).members
+                Q_old = L.binary_ht(spec.p0, spec.p1, eps)
+            if r.mechanism == "rr":
+                read = 1 << (k - 1 - np.arange(k))
+                scale = k + delta
+                Q_old = L.randomized_response(k, eps)
+            else:
+                j = sum(1 << (k - 1 - x) for x in split)
+                read = [j, (2**k - 1) ^ j]
+                scale = 2 + delta
+            # 1e-45 covers the reference's own rounding at 50 digits, all
+            # there is of it at eps = 0, where the exact value is 0.
+            rounding = 4 * (k + 5) * u * float(size[read].sum()) / scale + 1e-45
+            with mp.workdps(50):
+                priors = [spec.p] if utility == "mi" else [spec.p0, spec.p1]
+                q = [[mp.mpf(float(x)) for x in p.probs] for p in priors]
+                q = [[x / mp.fsum(qi) for x in qi] for qi in q]
+                e = mp.exp(mp.mpf(eps))
+                cols = ([[e if x == y else 1 for x in range(k)] for y in range(k)]
+                        if r.mechanism == "rr" else
+                        [[e if (x in split) == first else 1 for x in range(k)]
+                         for first in (True, False)])
+                ref = 0
+                for c in cols:
+                    a = mp.fsum(x * y for x, y in zip(q[0], c))
+                    if utility == "mi":
+                        ref += mp.fsum(x * y * mp.log(y / a) for x, y in zip(q[0], c))
+                        continue
+                    b = mp.fsum(x * y for x, y in zip(q[1], c))
+                    if utility == "kl":
+                        ref += a * mp.log(a / b)
+                    elif utility == "tv":
+                        ref += abs(a - b) / 2
+                    else:
+                        ref += (a - b) ** 2 / b
+                ref = float(ref / (len(cols) - 1 + e))
+            new_err = abs(r.utility_value - ref)
+            old_err = abs(L.utility(spec, Q_old) - ref)
+            assert new_err <= rounding
+            assert new_err <= old_err + rounding
+
     def test_ratio_limits_per_instance(self):
         cfg = L.SweepConfig(seed=3, k=3, num_instances=5,
                             eps_grid=(0.01, 10.0), utility="kl",
@@ -263,10 +363,12 @@ class TestSweepCommand:
     # Python-level calls per sweep-k6 operation (one instance, the
     # benchmark's eps grids, all five mechanisms) over run_sweep, sweep_csv
     # and sweep_summary, counted by sys.setprofile after a warm-up pass:
-    # 2,102 before the fixed per-call costs were cut, 1,570 after (numpy 2.4,
-    # Python 3.11). numpy's own Python wrappers are counted, so the budget
-    # holds only for the versions it was measured with.
-    CALLS_PER_OP = 1570
+    # 2,102 before the fixed per-call costs were cut, 1,570 after; 1,462
+    # before binary and rr were read off the LP objective, 1,229 after
+    # (numpy 2.4, Python 3.11). numpy's own Python wrappers are
+    # counted, so the budget holds only for the versions it was measured
+    # with.
+    CALLS_PER_OP = 1229
     CALL_BUDGET = 1.10 * CALLS_PER_OP
 
     @pytest.mark.skipif(np.__version__.split(".")[:2] != ["2", "4"]

@@ -56,6 +56,24 @@ class TestMakeDistribution:
         with pytest.raises(L.DimensionMismatch):
             L.make_distribution([1.0])
 
+    @pytest.mark.parametrize("values, error", [
+        ([0.5, math.nan], L.NotNormalizable),
+        ([0.5, -math.inf], L.NotNormalizable),
+        ([math.nan, -1.0], L.NotNormalizable),
+        ([-1.0, -1.0], L.NegativeMass),
+        ([-1.0, 0.5], L.NegativeMass),
+        ([1.5, -0.5, 0.0], L.NegativeMass),
+        ([1e308, 1e308, -1.0], L.NegativeMass),
+        ([1e308, 1e308], L.NotNormalizable),
+        ([-0.0, 0.0], L.NotNormalizable),
+    ])
+    def test_error_types(self, values, error):
+        # A positive finite sum leaves the checks to Distribution; every
+        # other sum (negative, zero, NaN, infinite or overflowed) is
+        # diagnosed by make_distribution with the same error types.
+        with pytest.raises(error):
+            L.make_distribution(values)
+
     def test_subset_mass(self):
         d = L.make_distribution([0.2, 0.3, 0.5])
         assert d.mass([0, 2]) == pytest.approx(0.7)

@@ -8,6 +8,7 @@ import pytest
 
 import ldpopt as L
 from ldpopt import optsolve
+from ldpopt.cli import _instance_priors
 from ldpopt.core import MAX_EPS
 from ldpopt.optsolve import (ORACLE_NEG_TOL, PIVOT_TOL, _difference_rows,
                              _rr_inverse, _run_simplex)
@@ -249,6 +250,36 @@ class TestSolve:
             p1 = L.make_distribution(rng.dirichlet(np.ones(k)))
             sol = L.solve(L.build_lp(L.hypothesis_testing(L.TV, p0, p1), eps))
             assert sol.value == pytest.approx(L.binary_tv_closed(p0, p1, eps), abs=1e-12)
+
+    def test_tv_large_eps_grid_reaches_closed_form(self):
+        # A stop at PIVOT_TOL alone left 241 of these 480 LPs more than
+        # 1e-12 short of the closed form (worst 7.6e-11); the stop at the
+        # reduced costs' rounding noise leaves none.
+        for k in (3, 4, 6, 8):
+            for i in range(40):
+                rng = np.random.default_rng([77, k, i])
+                p0 = L.make_distribution(rng.dirichlet(np.ones(k)))
+                p1 = L.make_distribution(rng.dirichlet(np.ones(k)))
+                spec = L.hypothesis_testing(L.TV, p0, p1)
+                tv = 0.5 * np.abs(p0.probs - p1.probs).sum()
+                for eps in (22.0, 24.0, 26.0):
+                    sol = L.solve(L.build_lp(spec, eps))
+                    assert sol.value == pytest.approx(math.tanh(eps / 2) * tv, rel=1e-12)
+
+    def test_kl_k12_pivot_budget(self):
+        # 80 LPs: the k = 12 KL instance 0 of sweep seeds 0-19 at the
+        # sweep-k12 eps grid. Most pivots here are degenerate; breaking
+        # ratio-test ties by the lowest basic cost takes 21.9 pivots per LP
+        # on average, the lowest basic index took 31.2. KL's pivot path has
+        # no ties in its reduced costs, so the count repeats exactly.
+        pivots = []
+        for seed in range(20):
+            cfg = L.SweepConfig(seed=seed, k=12, num_instances=1, eps_grid=(0.5,),
+                                utility="kl")
+            spec = _instance_priors(cfg, 0)
+            for eps in (0.5, 2.0, 4.0, 8.0):
+                pivots.append(L.solve(L.build_lp(spec, eps)).pivots)
+        assert np.mean(pivots) <= 24.0
 
     @pytest.mark.parametrize("eps", [400.0, 700.0, MAX_EPS])
     def test_chi2_very_large_eps(self, eps):
