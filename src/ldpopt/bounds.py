@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionMismatch, Distribution, Mechanism, exp_eps, induced_marginal
-from .mechanisms import binary_ht, binary_mi, ht_partition, mi_partition
+from .mechanisms import PartitionSet, binary_ht, binary_mi, ht_partition, mi_partition
 from .optsolve import build_lp, solve
-from .utilities import (KL, TV, UtilitySpec, entropy, f_divergence,
-                        mutual_information, utility)
+from .utilities import (KL, TV, UtilitySpec, entropy, f_divergence, hypothesis_testing,
+                        information_preservation, mutual_information, pattern_scores,
+                        utility)
 
 BOUND_TOL = 1e-9
 
@@ -47,46 +48,32 @@ def _require_pair(P0: Distribution, P1: Distribution) -> None:
         raise ValueError("priors must be positive")
 
 
-def _kl_terms(b: np.ndarray, d: np.ndarray, scale: float) -> np.ndarray:
-    """a log(a / b) / scale for a = b + d, 0 where a or b is 0: the log1p of
-    |d| / min(a, b) with the sign of d, so a d formed from delta = e^eps - 1
-    keeps its relative precision, and a / scale stays in the float range."""
-    a = b + d
-    lo = np.minimum(a, b)
-    r = np.divide(np.abs(d), lo, out=np.zeros(lo.shape), where=lo > 0)
-    return a / scale * np.copysign(np.log1p(r), d)
-
-
-def _rr_kl(p0: np.ndarray, p1: np.ndarray, eps: float) -> float:
-    """KL divergence of the marginals randomized response induces from p0, p1."""
+def _named_value(spec: UtilitySpec, bits: np.ndarray, eps: float) -> float:
+    """Utility of the mechanism whose outputs are the columns
+    (1 + delta b_y) / (n + delta) of a k x n bit matrix: randomized response
+    for np.eye(k), the two-output split for [1_T, 1_T^c]. Each column is
+    (1 + delta) / (n + delta) times a `pattern_scores` column."""
     exp_eps(eps)
     delta = math.expm1(eps)
-    return float(_kl_terms(1 + delta * p1, delta * (p0 - p1), delta + p0.size).sum())
+    n = bits.shape[1]
+    return float(pattern_scores(spec, bits, delta).sum()) * ((1.0 + delta) / (n + delta))
 
 
-def _rr_mi(p: np.ndarray, eps: float) -> float:
-    """Mutual information of randomized response under p: each output y
-    against input y (entry 1 + delta) and the other inputs (entry 1)."""
-    exp_eps(eps)
-    delta = math.expm1(eps)
-    mass, g = 1 + delta * p, delta * p * (1 - p)
-    return float((_kl_terms(p * mass, g, delta + p.size)
-                  + _kl_terms((1 - p) * mass, -g, delta + p.size)).sum())
+def _split_bits(split: PartitionSet, k: int) -> np.ndarray:
+    """The k x 2 bit matrix [1_T, 1_T^c] of a split T."""
+    inside = split.indicator(k)
+    return np.column_stack([inside, ~inside]).astype(float)
 
 
 def binary_kl_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
-    """Exact KL divergence of the induced marginals under the two-output split:
-    randomized response on the split's two masses."""
-    _require_pair(P0, P1)
-    split = ht_partition(P0, P1)
-    t0, t1 = split.mass, P1.mass(split.members)
-    return _rr_kl(np.array([t0, 1 - t0]), np.array([t1, 1 - t1]), eps)
+    """Exact KL divergence of the induced marginals under the two-output split."""
+    spec = hypothesis_testing(KL, P0, P1)
+    return _named_value(spec, _split_bits(ht_partition(P0, P1), P0.k), eps)
 
 
 def rr_kl_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
     """Exact KL divergence of the induced marginals under randomized response."""
-    _require_pair(P0, P1)
-    return _rr_kl(P0.probs, P1.probs, eps)
+    return _named_value(hypothesis_testing(KL, P0, P1), np.eye(P0.k), eps)
 
 
 def binary_tv_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
@@ -97,19 +84,14 @@ def binary_tv_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
 
 
 def binary_mi_closed(P: Distribution, eps: float) -> float:
-    """Exact mutual information of the two-output information split:
-    randomized response on the split's two masses."""
-    if not P.is_positive:
-        raise ValueError("prior must be positive")
-    t = mi_partition(P).mass
-    return _rr_mi(np.array([t, 1 - t]), eps)
+    """Exact mutual information of the two-output information split."""
+    spec = information_preservation(P)
+    return _named_value(spec, _split_bits(mi_partition(P), P.k), eps)
 
 
 def rr_mi_closed(P: Distribution, eps: float) -> float:
     """Exact mutual information under randomized response."""
-    if not P.is_positive:
-        raise ValueError("prior must be positive")
-    return _rr_mi(P.probs, eps)
+    return _named_value(information_preservation(P), np.eye(P.k), eps)
 
 
 def g_correction(P0: Distribution, P1: Distribution) -> float:

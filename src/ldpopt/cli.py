@@ -140,15 +140,16 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     Ratios are utility / LP-optimum; instances where the optimum is zero
     (eps = 0) count as ratio 1 since the gap is zero.
 
-    optimal is the LP optimum. binary and rr are read off the LP objective,
+    optimal is the LP optimum. binary and rr are read off the LP costs,
     since both mechanisms are scaled pattern columns and every column score
-    is positively homogeneous (delta = e^eps - 1): randomized response is
-    the k one-bit columns 1 << (k - 1 - x) over k + delta, and the binary
-    mechanism is the column j_T of its split T and the complement column,
-    over 2 + delta. T is {x : P0(x) >= P1(x)}, or mi_partition's split for
-    mutual information, found once per instance. mixed is the larger of
-    binary and rr. geometric is scored by `utility` on one mechanism per
-    eps, shared by every instance.
+    is positively homogeneous: with e = 1 + delta = e^eps, randomized
+    response is the k one-bit unit-max columns 1 << (k - 1 - x) times
+    e / (e + k - 1), and the binary mechanism is the column j_T of its split
+    T and the complement column, times e / (e + 1). T is
+    {x : P0(x) >= P1(x)}, or mi_partition's split for mutual information,
+    found once per instance. mixed is the larger of binary and rr.
+    geometric is scored by `utility` on one mechanism per eps, shared by
+    every instance.
     """
     k, wanted = cfg.k, set(cfg.mechanisms)
     geo = ({eps: geometric(k, eps) for eps in cfg.eps_grid if eps > 0}
@@ -168,9 +169,9 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
                 raise NumericalBreakdown(
                     f"utility={cfg.utility} k={k} eps={eps} seed={cfg.seed} "
                     f"instance_id={instance_id}: {exc}") from exc
-            opt, obj, delta = sol.value, lp.obj, lp.pattern.delta
-            binary = float(obj[j_t] + obj[(2**k - 1) ^ j_t]) / (2.0 + delta)
-            rr = float(obj[one_bit].sum()) / (k + delta)
+            opt, cost, e = sol.value, lp.cost, 1.0 + lp.pattern.delta
+            binary = float(cost[j_t] + cost[(2**k - 1) ^ j_t]) * (e / (e + 1.0))
+            rr = float(cost[one_bit].sum()) * (e / (e + k - 1.0))
             values = {"binary": binary, "rr": rr, "mixed": max(binary, rr),
                       "optimal": opt}
             if eps in geo:

@@ -6,18 +6,19 @@ k x 2^k pattern matrix. The LP is solved with a one-phase revised primal
 simplex; a brute-force enumeration of the basic solutions of every k-column
 basis serves as an independent oracle at small k.
 
-The simplex runs on pattern columns scaled to a largest entry of 1. Every
-column score is positively homogeneous, so column j scaled by 1/s_j scores
-obj_j / s_j and carries weight theta_j * s_j, which is O(1/k) at every eps.
-Row 0 stays; row x >= 1 becomes (row x - row 0) * e^eps / (e^eps - 1),
+The LP is posed on pattern columns scaled to a largest entry of 1: column
+j scaled by 1/s_j carries the mass theta_j * s_j, which is at most 1 at
+every eps, and its cost is the score of the scaled column, which is
+finite at every eps for the presets. The value is the sum of cost times
+mass. Row 0 stays; row x >= 1 becomes (row x - row 0) * e^eps / (e^eps - 1),
 which on the scaled columns is exactly the bit difference bits_x - bits_0,
 so the rows do not collapse together as eps -> 0 and the right-hand side
 is e_0. In these rows the randomized-response columns form a well
 conditioned feasible basis at every eps, so no phase 1 is needed. The
-objective is divided by its largest entry, making PIVOT_TOL relative.
+costs are divided by their largest entry, making PIVOT_TOL relative.
 
-S itself is never built here. The objective comes from the prior masses
-on the eps-free bit matrix (`utilities.pattern_scores`), the bit-difference
+S itself is never built here. The costs come from the prior masses on
+the eps-free bit matrix (`utilities.pattern_scores`), the bit-difference
 rows are cached per k, so an eps adds only row 0 and the column scales,
 and the certificate and the extraction build just the basis columns.
 The oracle solves its bases by Cramer's rule: in these rows a basis's
@@ -102,16 +103,18 @@ class DegenerateBasis(RuntimeError):
 
 @dataclass(frozen=True)
 class StaircaseLP:
-    """maximize obj . theta subject to pattern @ theta = 1, theta >= 0."""
+    """maximize sum_j cost_j theta_j s_j subject to pattern @ theta = 1,
+    theta >= 0: cost_j scores column j over its largest entry s_j (1 for
+    column 0, else 1 + delta), and theta_j s_j is the mass it carries."""
 
     k: int
     eps: float
-    obj: np.ndarray
+    cost: np.ndarray
     pattern: PatternMatrix
 
     @property
     def num_columns(self) -> int:
-        return self.obj.size
+        return self.cost.size
 
 
 @dataclass(frozen=True)
@@ -126,15 +129,19 @@ class LPSolution:
 def build_lp(spec: UtilitySpec, eps: float) -> StaircaseLP:
     """Assemble the pattern-column LP for a utility spec at privacy level eps."""
     pat = pattern_matrix(spec.k, eps)
-    obj = pattern_scores(spec, pat)
-    obj.flags.writeable = False
-    return StaircaseLP(k=spec.k, eps=eps, obj=obj, pattern=pat)
+    delta = pat.delta
+    cost = pattern_scores(spec, pat.bits, delta)
+    # Column 0 is all ones, its own unit-max form, and pattern_scores scored
+    # it over 1 + delta. Every preset scores it 0; a custom f scores f(1).
+    cost[0] *= 1.0 + delta
+    cost.flags.writeable = False
+    return StaircaseLP(k=spec.k, eps=eps, cost=cost, pattern=pat)
 
 
 def _pricing_noise(y: np.ndarray) -> float:
     """The rounding noise of the reduced costs under duals y; see
-    PRICING_NOISE."""
-    return PRICING_NOISE * y.size * (1.0 + float(np.abs(y).sum()))
+    PRICING_NOISE. A k-vector sums faster in Python than in numpy."""
+    return PRICING_NOISE * y.size * (1.0 + sum(map(abs, y.tolist())))
 
 
 def _run_simplex(A: np.ndarray, Binv: np.ndarray, basis: np.ndarray,
@@ -249,8 +256,9 @@ def solve(lp: StaircaseLP) -> LPSolution:
     randomized-response basis, which is feasible at every eps. The final
     basis is re-solved in the same rows to strip pivot error, and the
     result must pass the feasibility certificate on the basis columns of
-    the original pattern matrix. A column score that overflowed to inf
-    (possible only within a few nats of MAX_EPS) is numerical breakdown.
+    the original pattern matrix. The value is the basic costs times the
+    re-solved masses. No preset cost overflows, but a custom generator's
+    can; a cost that is not finite is numerical breakdown.
     """
     k, n = lp.k, lp.num_columns
     A, scale = _difference_rows(lp.pattern)
@@ -259,21 +267,20 @@ def solve(lp: StaircaseLP) -> LPSolution:
 
     basis = 1 << (k - 1 - np.arange(k))
     Binv = _rr_inverse(k, 1.0 / float(scale[1]))
-    cost = lp.obj / scale
-    top = float(np.abs(cost).max())
+    top = float(np.abs(lp.cost).max())
     if not math.isfinite(top):
         raise NumericalBreakdown("a column score is not finite at this eps")
-    cost /= top or 1.0
-    pivots = _run_simplex(A, Binv, basis, cost)
+    pivots = _run_simplex(A, Binv, basis, lp.cost / (top or 1.0))
 
-    basic = np.linalg.solve(A[:, basis], rhs) / scale[basis]
+    mass = np.linalg.solve(A[:, basis], rhs)
+    basic = mass / scale[basis]
     if (float(np.abs(lp.pattern.column(basis) @ basic - 1.0).max()) > CERT_RESIDUAL_TOL
             or basic.min() < -CERT_NEG_TOL):
         raise NumericalBreakdown("solution fails its feasibility certificate")
     theta = np.zeros(n)
     theta[basis] = basic
     theta.flags.writeable = False
-    return LPSolution(theta=theta, value=float(lp.obj @ theta),
+    return LPSolution(theta=theta, value=float(lp.cost[basis] @ mass),
                       basis=tuple(sorted(int(j) for j in basis)), pivots=pivots)
 
 
@@ -371,5 +378,5 @@ def vertex_oracle(lp: StaircaseLP) -> float:
         # magnifies a slightly negative weight on an e^eps entry.
         ok = ((np.abs(fit - 1.0) <= ORACLE_RESIDUAL_TOL).all(axis=0)
               & (mass >= -ORACLE_NEG_TOL).all(axis=0))
-    value = np.einsum("jm,jm->m", lp.obj.take(cols[:, ok]), theta[:, ok])
+    value = np.einsum("jm,jm->m", lp.cost.take(cols[:, ok]), mass[:, ok])
     return float(value.max(initial=-np.inf))

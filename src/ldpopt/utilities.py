@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Distribution, DimensionMismatch, Mechanism, PatternMatrix
+from .core import Distribution, DimensionMismatch, Mechanism
 
 
 class AbsoluteContinuityViolated(ValueError):
@@ -185,27 +185,30 @@ def column_scores(spec: UtilitySpec, C: np.ndarray) -> np.ndarray:
     return KL.terms(p * m, p * (C - m)).sum(axis=0)
 
 
-def pattern_scores(spec: UtilitySpec, pattern: PatternMatrix) -> np.ndarray:
-    """`column_scores` of every pattern column, without the k x 2^k matrix.
+def pattern_scores(spec: UtilitySpec, bits: np.ndarray, delta: float) -> np.ndarray:
+    """`column_scores` of the columns (1 + delta * b_j) / (1 + delta) of a
+    k x n {0, 1} bit matrix, without building them.
 
-    Column j is 1 + delta * bits_j, so its score depends on the priors only
-    through the masses they put on its 1 + delta entries: m0 = P0 . bits_j
-    and m1 = P1 . bits_j, or m = P . bits_j.
-    Hypothesis testing: the terms of b = 1 + delta m1, d = delta (m0 - m1).
-    Information preservation: against the column mass 1 + delta m, the
-    inputs with entry 1 + delta gain m (1 + delta) log1p(delta (1 - m) /
-    (1 + delta m)) and those with entry 1 lose (1 - m) log1p(delta m): the
-    two KL terms, whose signs are known here, in one pass.
+    A column with a bit set has largest entry 1, so every mass and marginal
+    below is at most 1 and no preset score overflows at any eps. A column
+    scores through the masses the priors put on its set bits: m0 = P0 . b_j
+    and m1 = P1 . b_j, or m = P . b_j. With lo = 1 / (1 + delta) and
+    w = delta / (1 + delta):
+    Hypothesis testing: the terms of b = lo + w m1, d = w (m0 - m1).
+    Information preservation: against the column mass lo (1 + delta m), the
+    inputs with a set bit gain m log1p(delta (1 - m) / (1 + delta m)) and
+    the others lose (1 - m) lo log1p(delta m): the two KL terms, whose signs
+    are known here, in one pass.
     """
-    bits, delta = pattern.bits, pattern.delta
+    lo = 1.0 / (1.0 + delta)
+    w = delta / (1.0 + delta)
     if spec.objective == "ht":
-        return spec.kind.terms(1.0 + delta * (spec.p1.probs @ bits),
-                               delta * ((spec.p0.probs - spec.p1.probs) @ bits))
+        return spec.kind.terms(lo + w * (spec.p1.probs @ bits),
+                               w * ((spec.p0.probs - spec.p1.probs) @ bits))
     m = spec.p.probs @ bits
     rest = 1.0 - m
     dm = delta * m
-    gain = np.log1p(delta * rest / (1.0 + dm))
-    return (1.0 + delta) * m * gain - rest * np.log1p(dm)
+    return m * np.log1p(delta * rest / (1.0 + dm)) - rest * lo * np.log1p(dm)
 
 
 def column_utility(spec: UtilitySpec, col: np.ndarray) -> float:

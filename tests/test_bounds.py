@@ -15,9 +15,11 @@ def _priors(rng, k, n=20):
 
 
 class TestClosedFormsAgainstDirectEvaluation:
+    # k = 16 is above MAX_LP_K: the closed forms score explicit bit columns
+    # and build no pattern matrix.
     def test_binary_and_rr_kl(self):
         rng = np.random.default_rng(40)
-        for k in (2, 3, 6):
+        for k in (2, 3, 6, 16):
             for p0, p1 in _priors(rng, k):
                 for eps in EPS_GRID:
                     spec = L.hypothesis_testing(L.KL, p0, p1)
@@ -30,7 +32,7 @@ class TestClosedFormsAgainstDirectEvaluation:
 
     def test_binary_tv(self):
         rng = np.random.default_rng(41)
-        for k in (2, 3, 6):
+        for k in (2, 3, 6, 16):
             for p0, p1 in _priors(rng, k, n=10):
                 for eps in EPS_GRID:
                     spec = L.hypothesis_testing(L.TV, p0, p1)
@@ -40,7 +42,7 @@ class TestClosedFormsAgainstDirectEvaluation:
 
     def test_binary_and_rr_mi(self):
         rng = np.random.default_rng(42)
-        for k in (2, 3, 6):
+        for k in (2, 3, 6, 16):
             for _ in range(20):
                 p = L.make_distribution(rng.dirichlet(np.ones(k)))
                 for eps in EPS_GRID:

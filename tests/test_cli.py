@@ -212,7 +212,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize("k", [2, 3, 6, 12])
     @pytest.mark.parametrize("utility", ["kl", "tv", "chi2", "mi"])
     def test_named_values_match_utility(self, k, utility):
-        # run_sweep reads binary and rr off the LP objective; utility()
+        # run_sweep reads binary and rr off the LP costs; utility()
         # scores the built mechanisms. Both agree within 1e-9 relative, up
         # to the priors' own rounding: each prior sums to 1 only within k u
         # (u the unit roundoff), and utility() carries that into the value
@@ -234,11 +234,12 @@ class TestSweepCommand:
     @pytest.mark.parametrize("utility", ["kl", "tv", "chi2", "mi"])
     def test_named_values_against_50_digits(self, k, utility):
         # The reference is the exact mechanism's utility at 50 digits, on
-        # the priors normalized in mpmath. The objective-read value is
-        # within its own rounding of it: each score read errs by at most
+        # the priors normalized in mpmath. The value read off the costs is
+        # within its own rounding of it: each cost read errs by at most
         # 4 (k + 5) u times the size of the terms it sums (see
-        # test_objective_matches_scores_of_the_matrix), over the
-        # mechanism's scale k + delta or 2 + delta. That makes it no
+        # test_objective_matches_scores_of_the_matrix), times the
+        # mechanism's scale (1 + delta) / (k + delta) or
+        # (1 + delta) / (2 + delta). That makes it no
         # farther from the reference than utility() on the float mechanism
         # beyond that rounding; utility() is off by the priors' sum error,
         # which reached 15 % of a KL value at eps = 1e-6 (k = 2, sweep seed
@@ -251,25 +252,26 @@ class TestSweepCommand:
             delta, bits = lp.pattern.delta, lp.pattern.bits
             if utility == "mi":
                 m = spec.p.probs @ bits
-                size = ((1 + delta) * m * np.log1p(delta * (1 - m) / (1 + delta * m))
-                        + (1 - m) * np.log1p(delta * m))
+                size = (m * np.log1p(delta * (1 - m) / (1 + delta * m))
+                        + (1 - m) * np.log1p(delta * m) / (1 + delta))
                 split = L.mi_partition(spec.p).members
                 Q_old = L.binary_mi(spec.p, eps)
             else:
-                size = np.abs(lp.obj) + delta * ((spec.p0.probs + spec.p1.probs) @ bits)
+                size = (np.abs(lp.cost)
+                        + delta / (1 + delta) * ((spec.p0.probs + spec.p1.probs) @ bits))
                 split = L.ht_partition(spec.p0, spec.p1).members
                 Q_old = L.binary_ht(spec.p0, spec.p1, eps)
             if r.mechanism == "rr":
                 read = 1 << (k - 1 - np.arange(k))
-                scale = k + delta
+                scale = (1 + delta) / (k + delta)
                 Q_old = L.randomized_response(k, eps)
             else:
                 j = sum(1 << (k - 1 - x) for x in split)
                 read = [j, (2**k - 1) ^ j]
-                scale = 2 + delta
+                scale = (1 + delta) / (2 + delta)
             # 1e-45 covers the reference's own rounding at 50 digits, all
             # there is of it at eps = 0, where the exact value is 0.
-            rounding = 4 * (k + 5) * u * float(size[read].sum()) / scale + 1e-45
+            rounding = 4 * (k + 5) * u * float(size[read].sum()) * scale + 1e-45
             with mp.workdps(50):
                 priors = [spec.p] if utility == "mi" else [spec.p0, spec.p1]
                 q = [[mp.mpf(float(x)) for x in p.probs] for p in priors]

@@ -30,12 +30,12 @@ class TestBuildLP:
         lp = L.build_lp(spec, 1.0)
         assert lp.num_columns == 4
         # all-ones and all-e^eps columns have ratio 1, so f(1) = 0
-        assert lp.obj[0] == pytest.approx(0.0, abs=1e-15)
-        assert lp.obj[3] == pytest.approx(0.0, abs=1e-15)
+        assert lp.cost[0] == pytest.approx(0.0, abs=1e-15)
+        assert lp.cost[3] == pytest.approx(0.0, abs=1e-15)
 
     def test_eps0_objective_vanishes(self):
         spec = L.information_preservation(L.make_distribution([0.2, 0.8]))
-        np.testing.assert_allclose(L.build_lp(spec, 0.0).obj, 0.0, atol=1e-15)
+        np.testing.assert_allclose(L.build_lp(spec, 0.0).cost, 0.0, atol=1e-15)
 
     def test_objective_matches_column_utility(self):
         rng = np.random.default_rng(21)
@@ -47,9 +47,9 @@ class TestBuildLP:
                                            p0, p1))
             for spec in specs:
                 lp = L.build_lp(spec, 1.3)
-                direct = [L.column_utility(spec, lp.pattern.column(j))
-                          for j in range(lp.num_columns)]
-                np.testing.assert_allclose(lp.obj, direct, rtol=1e-12, atol=1e-15)
+                cols = [lp.pattern.column(j) for j in range(lp.num_columns)]
+                direct = [L.column_utility(spec, c / c.max()) for c in cols]
+                np.testing.assert_allclose(lp.cost, direct, rtol=1e-12, atol=1e-15)
 
     # First-order sensitivity a |f'(r)| + b |f(r) - r f'(r)|, r = a / b, of
     # each generator's term b f(a / b) to relative changes in a and b.
@@ -62,21 +62,21 @@ class TestBuildLP:
 
     @pytest.mark.parametrize("k", [2, 3, 6, 12])
     def test_objective_matches_scores_of_the_matrix(self, k):
-        # lp.obj comes from the prior masses on each column's e^eps entries;
-        # column_scores evaluates the materialized columns. With u the unit
-        # roundoff:
+        # lp.cost comes from the prior masses on each column's e^eps
+        # entries; column_scores evaluates the materialized columns scaled
+        # to a largest entry of 1. With u the unit roundoff:
         # - either side's marginal a = P0 . c (likewise b) is within
         #   (k + 5) u of its exact value, relatively: a k-term sum, the
-        #   product with delta and the sum with 1 (or the entry
-        #   fl(1 + delta)), and the prior's own sum, within k u of 1;
+        #   factors 1 / (1 + delta) and delta / (1 + delta) with their
+        #   product and sum (or the entries of S / scale), and the prior's
+        #   own sum, within k u of 1;
         # - that moves b f(a / b) by at most (k + 5) u times SENSITIVITY,
         #   and evaluating the term errs by a few u of a + b;
         # - for mutual information either side errs by at most (k + 5) u
-        #   times twice (1 + delta m)(1 + log1p delta), the size of the
-        #   terms it sums (m the prior mass on the e^eps entries).
-        # Both sides err, hence 4 (k + 5) u times these weights. Each score
-        # is homogeneous in its column, so the comparison is made on the
-        # columns scaled to a largest entry of 1, where nothing overflows.
+        #   times twice a (1 + log1p delta), the size of the terms it sums
+        #   (a = P . c, the column's marginal).
+        # Both sides err, hence 4 (k + 5) u times these weights. On the
+        # scaled columns no score overflows, up to MAX_EPS.
         u = np.finfo(float).eps / 2
         rng = np.random.default_rng([17, k])
         p0 = L.make_distribution(rng.dirichlet(np.ones(k)))
@@ -93,14 +93,10 @@ class TestBuildLP:
             cases.append((L.information_preservation(p0),
                           2.0 * a * (1.0 + math.log1p(math.exp(eps) - 1.0))))
             for spec, weight in cases:
-                # Near MAX_EPS a score may exceed the float range on both sides.
-                with np.errstate(over="ignore"):
-                    got = L.build_lp(spec, eps).obj / scale
-                    want = L.column_scores(spec, S) / scale
-                finite = np.isfinite(want)
-                np.testing.assert_array_equal(np.isfinite(got), finite)
-                err = np.abs(got[finite] - want[finite])
-                assert (err <= 4 * (k + 5) * u * weight[finite]).all()
+                got = L.build_lp(spec, eps).cost
+                want = L.column_scores(spec, S / scale)
+                assert np.isfinite(got).all()
+                assert (np.abs(got - want) <= 4 * (k + 5) * u * weight).all()
 
     def test_lp_leaves_the_matrix_unbuilt(self):
         rng = np.random.default_rng([18, 12])
@@ -118,8 +114,8 @@ class TestBuildLP:
                                     L.make_distribution([0.6, 0.4]),
                                     L.make_distribution([0.4, 0.6]))
         ref = L.hypothesis_testing(L.CHI2, spec.p0, spec.p1)
-        np.testing.assert_allclose(L.build_lp(spec, 1.0).obj,
-                                   L.build_lp(ref, 1.0).obj, rtol=1e-12)
+        np.testing.assert_allclose(L.build_lp(spec, 1.0).cost,
+                                   L.build_lp(ref, 1.0).cost, rtol=1e-12)
 
     def test_rejects_nonconvex_custom_kind(self):
         spec = L.hypothesis_testing(L.custom(lambda x: -((x - 1.0) ** 2)),
@@ -283,31 +279,27 @@ class TestSolve:
 
     @pytest.mark.parametrize("eps", [400.0, 700.0, MAX_EPS])
     def test_chi2_very_large_eps(self, eps):
-        # (a - b) ** 2 overflowed past eps = 354.9, and the simplex ran to
-        # its iteration limit. Here the identity mechanism is optimal to
-        # within e^-eps, so the optimum is chi2(P0 || P1). A column with
-        # masses m0 and m1 on its e^eps entries scores
-        # delta^2 (m0 - m1)^2 / (1 + delta m1); where one exceeds the float
-        # range, solve must raise NumericalBreakdown instead.
-        delta = math.exp(eps) - 1.0
+        # An unscaled pattern score grows as e^eps and leaves the float
+        # range near MAX_EPS; the unit-max costs stay in it. The identity
+        # mechanism is optimal to within e^-eps here, so the optimum is
+        # chi2(P0 || P1), KL(P0 || P1) or H(P).
+        def opt(spec):
+            return L.solve(L.build_lp(spec, eps)).value
+
         priors = [([0.5, 0.2, 0.3], [0.1, 0.6, 0.3])]
         rng = np.random.default_rng([19, 3])
         priors += [(rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k)))
                    for k in (2, 3, 3, 4, 6)]
         for q0, q1 in priors:
             p0, p1 = L.make_distribution(q0), L.make_distribution(q1)
-            with np.errstate(over="ignore"):
-                lp = L.build_lp(L.hypothesis_testing(L.CHI2, p0, p1), eps)
-            bits = lp.pattern.bits[:, 1:]
-            gap = np.abs((p0.probs - p1.probs) @ bits)
-            log_score = (2 * (math.log(delta) + np.log(gap[gap > 0]))
-                         - np.log1p(delta * (p1.probs @ bits)[gap > 0]))
-            if log_score.max() < MAX_EPS:
-                assert L.solve(lp).value == pytest.approx(
-                    L.f_divergence(L.CHI2, p0, p1), rel=1e-12)
-            else:
-                with pytest.raises(L.NumericalBreakdown, match="not finite"):
-                    L.solve(lp)
+            assert opt(L.hypothesis_testing(L.CHI2, p0, p1)) == pytest.approx(
+                L.f_divergence(L.CHI2, p0, p1), rel=1e-12)
+            assert opt(L.information_preservation(p0)) == pytest.approx(
+                L.entropy(p0), rel=1e-12)
+        p0 = L.make_distribution([0.9, 0.05, 0.05])
+        p1 = L.make_distribution([0.01, 0.9, 0.09])
+        assert opt(L.hypothesis_testing(L.KL, p0, p1)) == pytest.approx(
+            L.f_divergence(L.KL, p0, p1), rel=1e-12)
 
     @pytest.mark.parametrize("k", [6, 12])
     def test_tiny_eps_solves(self, k):
@@ -326,9 +318,9 @@ class TestSolve:
         # utility, up to rounding and the stopping rule. Each of the <= k
         # basic columns carries about 2 eps_mach of score rounding per unit
         # mass, and the binary utility as much again (4 eps_mach in all).
-        # The stop on the normalized objective leaves at most
-        # PIVOT_TOL * max_j |c_j| / s_j per unit of scaled weight, and the
-        # scaled weights sum to at most k.
+        # The stop on the normalized costs leaves at most
+        # PIVOT_TOL * max_j |cost_j| per unit of mass, and the masses sum to
+        # at most k.
         eps_mach = np.finfo(float).eps
         for i in range(5):
             rng = np.random.default_rng([31, k, i])
@@ -342,8 +334,7 @@ class TestSolve:
                     spec = L.information_preservation(p0)
                     binary = L.binary_mi(p0, eps)
                 lp = L.build_lp(spec, eps)
-                scaled = np.abs(lp.obj / lp.pattern.matrix.max(axis=0)).max()
-                tol = k * (4 * eps_mach + PIVOT_TOL * scaled)
+                tol = k * (4 * eps_mach + PIVOT_TOL * np.abs(lp.cost).max())
                 assert L.solve(lp).value >= L.utility(spec, binary) - tol
 
     @pytest.mark.parametrize("k", [3, 6, 12])
@@ -408,9 +399,8 @@ class TestSolve:
             for spec in [*specs, L.information_preservation(p0)]:
                 for eps in (1e-6, 0.01, 0.5, 2.0, 8.0, 20.0, 30.0):
                     lp = L.build_lp(spec, eps)
-                    A, scale = _difference_rows(lp.pattern)
-                    cost = lp.obj / scale
-                    cost /= np.abs(cost).max() or 1.0
+                    A, _ = _difference_rows(lp.pattern)
+                    cost = lp.cost / (np.abs(lp.cost).max() or 1.0)
                     basis = list(L.solve(lp).basis)
                     y = np.linalg.solve(A[:, basis].T, cost[basis])
                     assert (y @ A - cost).min() >= -2 * PIVOT_TOL
@@ -418,8 +408,9 @@ class TestSolve:
     @pytest.mark.parametrize("k, priors", [(8, 4), (12, 1)])
     def test_matches_highs(self, k, priors):
         # Beyond the vertex oracle's reach. HiGHS's tolerances are absolute,
-        # so it gets the scores scaled to a largest entry of 1. One HiGHS
-        # call takes about 6 ms at k = 8 but 60-160 ms at k = 12.
+        # so it gets the columns scaled to a largest entry of 1 and their
+        # costs over the largest cost. One HiGHS call takes about 6 ms at
+        # k = 8 but 60-160 ms at k = 12.
         linprog = pytest.importorskip("scipy.optimize").linprog
         for i in range(priors):
             rng = np.random.default_rng([89, k, i])
@@ -430,8 +421,9 @@ class TestSolve:
                          L.information_preservation(p0)):
                 for eps in (0.5, 2.0, 8.0):
                     lp = L.build_lp(spec, eps)
-                    top = np.abs(lp.obj).max()
-                    res = linprog(-lp.obj / top, A_eq=lp.pattern.matrix, b_eq=np.ones(lp.k),
+                    top = np.abs(lp.cost).max()
+                    S = lp.pattern.matrix
+                    res = linprog(-lp.cost / top, A_eq=S / S.max(axis=0), b_eq=np.ones(lp.k),
                                   bounds=(0, None), method="highs")
                     assert res.status == 0
                     assert L.solve(lp).value == pytest.approx(-res.fun * top, rel=1e-9)
@@ -449,7 +441,8 @@ class TestSolve:
         moved[-1] += theta[0] / e
         moved[0] = 0.0
         np.testing.assert_allclose(lp.pattern.matrix @ moved, 1.0, atol=1e-9)
-        assert lp.obj @ moved == pytest.approx(sol.value, abs=1e-12)
+        mass = moved * lp.pattern.matrix.max(axis=0)
+        assert lp.cost @ mass == pytest.approx(sol.value, abs=1e-12)
 
 
 class TestStartInverse:
@@ -477,18 +470,17 @@ class TestStartInverse:
             for spec in [*specs, L.information_preservation(p0)]:
                 for eps in (0.0, 0.01, 0.5, 2.0, 8.0, 30.0):
                     lp = L.build_lp(spec, eps)
-                    A, scale = _difference_rows(lp.pattern)
-                    cost = lp.obj / scale
-                    cost /= np.abs(cost).max() or 1.0
+                    A, _ = _difference_rows(lp.pattern)
+                    cost = lp.cost / (np.abs(lp.cost).max() or 1.0)
                     basis = 1 << (k - 1 - np.arange(k))
                     pivots = _run_simplex(A, np.linalg.inv(A[:, basis]), basis, cost)
                     sol = L.solve(lp)
                     if spec.kind is not L.TV:
                         assert (sol.basis, sol.pivots) == (tuple(sorted(basis.tolist())),
                                                            pivots)
-                    theta = np.zeros(lp.num_columns)
-                    theta[basis] = np.linalg.solve(A[:, basis], np.eye(k)[0]) / scale[basis]
-                    assert sol.value == pytest.approx(lp.obj @ theta, rel=1e-15, abs=1e-300)
+                    mass = np.linalg.solve(A[:, basis], np.eye(k)[0])
+                    assert sol.value == pytest.approx(lp.cost[basis] @ mass, rel=1e-15,
+                                                      abs=1e-300)
 
 
 class TestSimplexBreakdown:
@@ -507,6 +499,41 @@ class TestSimplexBreakdown:
         spec = L.information_preservation(L.make_distribution(rng.dirichlet(np.ones(12))))
         with pytest.raises(L.NumericalBreakdown, match="simplex iteration limit reached"):
             L.solve(L.build_lp(spec, 0.5))
+
+
+def _positive_dirichlet(rng, alpha, k):
+    """A Dirichlet(alpha, ..., alpha) draw, redrawn until every mass is
+    positive: at alpha = 0.05 some masses underflow to 0."""
+    while True:
+        q = rng.dirichlet(np.full(k, alpha))
+        if q.min() > 0:
+            return q
+
+
+class TestDomainProbe:
+    # Every prior shape, eps and utility the API accepts either solves to a
+    # private mechanism or raises a typed error; on this grid none raises,
+    # and the pytest RuntimeWarning filter turns an escaping numpy warning
+    # into a failure. Unscaled pattern scores overflow on 13 of these 288
+    # cases, at eps = 700 and MAX_EPS.
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_grid(self, k):
+        rng = np.random.default_rng([23, k])
+        tiny0, tiny1 = np.full(k, 1e-12), np.full(k, 1e-12)
+        tiny0[0] = tiny1[-1] = 1.0
+        shapes = [(tiny0, tiny1),
+                  (_positive_dirichlet(rng, 0.05, k), _positive_dirichlet(rng, 0.05, k)),
+                  (np.full(k, 1.0 / k), np.full(k, 1.0 / k) + 1e-9 * np.arange(k)),
+                  (_positive_dirichlet(rng, 1.0, k), _positive_dirichlet(rng, 1.0, k))]
+        for q0, q1 in shapes:
+            p0, p1 = L.make_distribution(q0), L.make_distribution(q1)
+            specs = [L.hypothesis_testing(kind, p0, p1) for kind in (L.KL, L.TV, L.CHI2)]
+            for spec in [*specs, L.information_preservation(p0)]:
+                for eps in (0.0, 1e-9, 1.0, 30.0, 700.0, MAX_EPS):
+                    lp = L.build_lp(spec, eps)
+                    Q = L.extract_mechanism(L.solve(lp), lp)
+                    assert math.isfinite(L.utility(spec, Q))
+                    assert L.is_locally_private(Q, eps)
 
 
 class TestExtract:
@@ -530,7 +557,7 @@ class TestExtract:
         n = lp.num_columns
         theta = np.zeros(n)
         theta[0], theta[n - 1] = 0.5, 0.5 / e
-        sol = L.LPSolution(theta=theta, value=float(lp.obj @ theta),
+        sol = L.LPSolution(theta=theta, value=0.5 * (lp.cost[0] + lp.cost[n - 1]),
                            basis=(0, n - 1))
         Q = L.extract_mechanism(sol, lp)
         assert Q.l == 1
@@ -632,10 +659,10 @@ class TestVertexOracle:
         for spec in specs:
             for eps in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
                 lp = L.build_lp(spec, eps)
-                # solve may stop k * PIVOT_TOL short on the scaled scores.
-                scaled = np.abs(lp.obj / lp.pattern.matrix.max(axis=0)).max()
+                # solve may stop k * PIVOT_TOL short on the normalized costs.
+                top = np.abs(lp.cost).max()
                 assert L.vertex_oracle(lp) == pytest.approx(
-                    L.solve(lp).value, rel=1e-9, abs=k * PIVOT_TOL * scaled + 1e-15)
+                    L.solve(lp).value, rel=1e-9, abs=k * PIVOT_TOL * top + 1e-15)
 
     def test_k5_matches_solver(self):
         rng = np.random.default_rng([35, 5])
@@ -649,15 +676,15 @@ class TestVertexOracle:
     @pytest.mark.parametrize("k, priors", [(2, 3), (3, 3), (4, 1)])
     def test_matches_60_digit_enumeration(self, k, priors):
         # The reference enumerates the same bases of S in exact rationals,
-        # with e^eps rounded to 60 digits, the same float lp.obj and the
+        # with e^eps rounded to 60 digits, the same float lp.cost and the
         # same mass filter. The oracle's value is a k-term dot product,
-        # which errs by k u times sum |obj_j theta_j| (u the unit roundoff).
-        # Each theta_j adds a few u, and det M adds |C2| 2.5 u / |det M|. A
+        # which errs by k u times sum |cost_j mass_j| (u the unit roundoff).
+        # Each mass_j adds a few u, and det M adds |C2| 2.5 u / |det M|. A
         # feasible vertex has |det M| >= 1, as its masses are at most 1 and
         # its cofactors are integers, and |C2| is at most k times the
         # largest (k - 1)-minor of a {-1, 0, 1} matrix: 2, 6 and 16 at
         # k = 2, 3, 4. All of it is below 16 k u times that sum. Rounding
-        # e^eps moves the reference's theta by 1e-60 times the condition
+        # e^eps moves the reference's masses by 1e-60 times the condition
         # number of S's basis, at most about delta^(1 - k) <= 1e30 here.
         u = np.finfo(float).eps / 2
         for i in range(priors):
@@ -667,12 +694,12 @@ class TestVertexOracle:
                 vertices = _exact_vertices(k, eps)
                 for spec in specs:
                     lp = L.build_lp(spec, eps)
-                    obj = [Fraction(v) for v in lp.obj.tolist()]
-                    basis, theta = max(vertices, key=lambda v: sum(
-                        obj[j] * t for j, t in zip(*v)))
-                    terms = [obj[j] * t for j, t in zip(basis, theta)]
+                    cost = [Fraction(v) for v in lp.cost.tolist()]
+                    basis, mass = max(vertices, key=lambda v: sum(
+                        cost[j] * m for j, m in zip(*v)))
+                    terms = [cost[j] * m for j, m in zip(basis, mass)]
                     tol = (16 * k * u * float(sum(map(abs, terms)))
-                           + 1e-30 * float(sum(abs(obj[j]) for j in basis)))
+                           + 1e-30 * float(sum(abs(cost[j]) for j in basis)))
                     assert abs(L.vertex_oracle(lp) - float(sum(terms))) <= tol
 
     def test_cap(self):
@@ -683,10 +710,10 @@ class TestVertexOracle:
 
 @functools.cache
 def _exact_vertices(k, eps):
-    """Every basic solution (basis, theta) of S theta = 1 whose masses are
-    at least -ORACLE_NEG_TOL, in exact rationals, with e^eps rounded to 60
-    digits: fraction-free (Bareiss) elimination on the columns of S scaled
-    to integers, then fraction-free back substitution."""
+    """Every basic solution of S theta = 1 whose masses theta_j s_j are at
+    least -ORACLE_NEG_TOL, as (basis, masses) in exact rationals, with
+    e^eps rounded to 60 digits: fraction-free (Bareiss) elimination on the
+    columns of S scaled to integers, then fraction-free back substitution."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(60):
         man, exp = mp.exp(mp.mpf(eps)).man_exp
@@ -712,8 +739,7 @@ def _exact_vertices(k, eps):
             for c in reversed(range(k)):
                 rest = sum(a[c][j] * num[j] for j in range(c + 1, k))
                 num[c] = (a[c][k] * prev - rest) // a[c][c]
-            theta = [Fraction(n, prev) for n in num]
-            if all(t * (s if j else 1) >= -Fraction(ORACLE_NEG_TOL)
-                   for j, t in zip(basis, theta)):
-                vertices.append((basis, theta))
+            mass = [Fraction(n, prev) * (s if j else 1) for j, n in zip(basis, num)]
+            if min(mass) >= -Fraction(ORACLE_NEG_TOL):
+                vertices.append((basis, mass))
     return vertices
