@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionMismatch, Distribution, Mechanism, exp_eps, induced_marginal
-from .mechanisms import PartitionSet, binary_ht, binary_mi, ht_partition, mi_partition
+from .mechanisms import (binary_ht, binary_mi, ht_partition, mi_partition, split_bits,
+                         staircase_value)
 from .optsolve import build_lp, solve
 from .utilities import (KL, TV, UtilitySpec, entropy, f_divergence, hypothesis_testing,
                         information_preservation, mutual_information, pattern_scores,
@@ -49,26 +50,17 @@ def _require_pair(P0: Distribution, P1: Distribution) -> None:
 
 
 def _named_value(spec: UtilitySpec, bits: np.ndarray, eps: float) -> float:
-    """Utility of the mechanism whose outputs are the columns
-    (1 + delta b_y) / (n + delta) of a k x n bit matrix: randomized response
-    for np.eye(k), the two-output split for [1_T, 1_T^c]. Each column is
-    (1 + delta) / (n + delta) times a `pattern_scores` column."""
+    """Utility of the staircase of a bit matrix (np.eye(k) for randomized
+    response, `split_bits` for a split) from its `pattern_scores`."""
     exp_eps(eps)
     delta = math.expm1(eps)
-    n = bits.shape[1]
-    return float(pattern_scores(spec, bits, delta).sum()) * ((1.0 + delta) / (n + delta))
-
-
-def _split_bits(split: PartitionSet, k: int) -> np.ndarray:
-    """The k x 2 bit matrix [1_T, 1_T^c] of a split T."""
-    inside = split.indicator(k)
-    return np.column_stack([inside, ~inside]).astype(float)
+    return staircase_value(pattern_scores(spec, bits, delta), delta)
 
 
 def binary_kl_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
     """Exact KL divergence of the induced marginals under the two-output split."""
     spec = hypothesis_testing(KL, P0, P1)
-    return _named_value(spec, _split_bits(ht_partition(P0, P1), P0.k), eps)
+    return _named_value(spec, split_bits(ht_partition(P0, P1), P0.k), eps)
 
 
 def rr_kl_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
@@ -86,7 +78,7 @@ def binary_tv_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
 def binary_mi_closed(P: Distribution, eps: float) -> float:
     """Exact mutual information of the two-output information split."""
     spec = information_preservation(P)
-    return _named_value(spec, _split_bits(mi_partition(P), P.k), eps)
+    return _named_value(spec, split_bits(mi_partition(P), P.k), eps)
 
 
 def rr_mi_closed(P: Distribution, eps: float) -> float:

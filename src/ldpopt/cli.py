@@ -3,7 +3,7 @@ check privacy claims, export error-region boundaries, and run the
 benchmark sweeps and the Chernoff-Stein Monte-Carlo estimate.
 
 Exit codes: 0 success, 1 validation failure (including a solver failure,
-reported with its utility, k and eps), 2 I/O error.
+reported with its utility, k and eps, and an allocation failure), 2 I/O error.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from .bounds import converse_suite, mi_converse_suite
 from .core import (MAX_LP_K, Distribution, Mechanism, effective_epsilon, exp_eps,
                    induced_marginal, is_approx_private, is_locally_private,
                    is_staircase, make_distribution, mechanism_from_json,
-                   mechanism_to_json)
-from .mechanisms import (binary_ht, binary_mi, geometric, ht_partition,
-                         mi_partition, quaternary, randomized_response)
+                   mechanism_to_json, pattern_index)
+from .mechanisms import (binary_ht, binary_mi, geometric, ht_partition, mi_partition,
+                         quaternary, randomized_response, split_bits, staircase_value)
 from .optsolve import (DegenerateBasis, NumericalBreakdown, build_lp,
                        extract_mechanism, solve)
 from .regions import region_eps_delta, tradeoff_region
@@ -76,7 +76,6 @@ class SweepConfig:
     eps_grid: tuple[float, ...]
     utility: str
     mechanisms: tuple[str, ...] = SWEEP_MECHANISMS
-    out_path: str | None = None
 
     def __post_init__(self):
         # A --config file can give any JSON value; each error names its field.
@@ -100,9 +99,11 @@ class SweepConfig:
             exp_eps(eps)
         if self.utility not in ("kl", "tv", "chi2", "mi"):
             raise ValueError(f"unknown utility {self.utility!r}")
-        bad = set(self.mechanisms) - set(SWEEP_MECHANISMS)
-        if bad:
-            raise ValueError(f"unknown mechanisms: {sorted(bad)}")
+        if (not isinstance(self.mechanisms, (list, tuple))
+                or not all(m in SWEEP_MECHANISMS for m in self.mechanisms)):
+            raise ValueError(f"mechanisms must be a list of names from "
+                             f"{SWEEP_MECHANISMS}, got {self.mechanisms!r}")
+        object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
         # Every row carries the LP optimum for its ratio column, so the
         # alphabet cap applies to all sweeps, not only "optimal" rows.
         if not 2 <= self.k <= MAX_LP_K:
@@ -140,27 +141,23 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     Ratios are utility / LP-optimum; instances where the optimum is zero
     (eps = 0) count as ratio 1 since the gap is zero.
 
-    optimal is the LP optimum. binary and rr are read off the LP costs,
-    since both mechanisms are scaled pattern columns and every column score
-    is positively homogeneous: with e = 1 + delta = e^eps, randomized
-    response is the k one-bit unit-max columns 1 << (k - 1 - x) times
-    e / (e + k - 1), and the binary mechanism is the column j_T of its split
-    T and the complement column, times e / (e + 1). T is
-    {x : P0(x) >= P1(x)}, or mi_partition's split for mutual information,
-    found once per instance. mixed is the larger of binary and rr.
-    geometric is scored by `utility` on one mechanism per eps, shared by
-    every instance.
+    optimal is the LP optimum. rr and binary are staircases of the bit
+    matrices np.eye(k) and [1_T, 1_T^c], so each is `staircase_value` of the
+    LP costs at its columns. T is {x : P0(x) >= P1(x)}, or mi_partition's
+    split for mutual information, found once per instance. mixed is the
+    larger of binary and rr. geometric is scored by `utility` on one
+    mechanism per eps, shared by every instance.
     """
     k, wanted = cfg.k, set(cfg.mechanisms)
     geo = ({eps: geometric(k, eps) for eps in cfg.eps_grid if eps > 0}
            if "geometric" in wanted else {})
-    one_bit = 1 << (k - 1 - np.arange(k))
+    rr_cols = pattern_index(np.eye(k))
     rows = []
     for instance_id in range(cfg.num_instances):
         spec = _instance_priors(cfg, instance_id)
         split = (mi_partition(spec.p) if spec.objective == "mi"
                  else ht_partition(spec.p0, spec.p1))
-        j_t = sum(1 << (k - 1 - x) for x in split.members)
+        split_cols = pattern_index(split_bits(split, k))
         for eps in cfg.eps_grid:
             try:
                 lp = build_lp(spec, eps)
@@ -169,9 +166,9 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
                 raise NumericalBreakdown(
                     f"utility={cfg.utility} k={k} eps={eps} seed={cfg.seed} "
                     f"instance_id={instance_id}: {exc}") from exc
-            opt, cost, e = sol.value, lp.cost, 1.0 + lp.pattern.delta
-            binary = float(cost[j_t] + cost[(2**k - 1) ^ j_t]) * (e / (e + 1.0))
-            rr = float(cost[one_bit].sum()) * (e / (e + k - 1.0))
+            opt, delta = sol.value, lp.pattern.delta
+            binary = staircase_value(lp.cost[split_cols], delta)
+            rr = staircase_value(lp.cost[rr_cols], delta)
             values = {"binary": binary, "rr": rr, "mixed": max(binary, rr),
                       "optimal": opt}
             if eps in geo:
@@ -365,9 +362,11 @@ def cmd_sweep(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
-        raw["mechanisms"] = tuple(raw.get("mechanisms", SWEEP_MECHANISMS))
-        if args.out:
-            raw["out_path"] = args.out
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
+        out_path = raw.pop("out_path", None)
+        if out_path is not None and not isinstance(out_path, str):
+            raise ValueError(f"out_path must be a string, got {out_path!r}")
         cfg = SweepConfig(**raw)
     else:
         if args.k is None or args.eps_grid is None or args.utility is None:
@@ -375,12 +374,12 @@ def cmd_sweep(args) -> int:
         cfg = SweepConfig(
             seed=args.seed, k=args.k, num_instances=args.num_instances,
             eps_grid=_parse_grid(args.eps_grid), utility=args.utility,
-            mechanisms=tuple(args.mechanisms.split(",")) if args.mechanisms
+            mechanisms=args.mechanisms.split(",") if args.mechanisms
             else SWEEP_MECHANISMS,
-            out_path=args.out,
         )
+        out_path = None
     rows = run_sweep(cfg)
-    _write_text(cfg.out_path, sweep_csv(rows))
+    _write_text(args.out or out_path, sweep_csv(rows))
     print(sweep_summary(rows))
     return EXIT_OK
 
@@ -480,9 +479,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, ArithmeticError, KeyError, TypeError,
+    except (ValueError, ArithmeticError, KeyError, TypeError, MemoryError,
             NumericalBreakdown, DegenerateBasis) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

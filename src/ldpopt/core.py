@@ -236,6 +236,12 @@ def _pattern_bits(k: int) -> np.ndarray:
     return bits
 
 
+def pattern_index(bits: np.ndarray) -> np.ndarray:
+    """The pattern-matrix column index of each column of a k x n {0, 1}
+    matrix, row 0 the most significant bit: the inverse of _pattern_bits."""
+    return (1 << np.arange(bits.shape[0])[::-1]) @ bits.astype(np.int64)
+
+
 def is_locally_private(Q: Mechanism, eps: float) -> bool:
     """True iff Q is eps-locally private: Q(y|x) <= e^eps Q(y|x') for every
     output y and inputs x, x', so no output's likelihoods differ by a ratio

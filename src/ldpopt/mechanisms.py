@@ -3,7 +3,9 @@
 Binary split mechanisms for hypothesis testing and information
 preservation, randomized response, a truncated-geometric baseline, and the
 four-output mechanism that is extremal under (eps, delta) privacy on
-binary inputs.
+binary inputs. Randomized response and the splits are staircases of a
+k x n bit matrix B, the identity or [1_T, 1_T^c]: output y is the scaled
+{1, e^eps} pattern column (1 + delta B[:, y]) / (n + delta), delta = e^eps - 1.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ class PartitionSet:
     members: tuple[int, ...]
     mass: float
 
-    def indicator(self, k: int) -> np.ndarray:
-        out = np.zeros(k, dtype=bool)
-        out[list(self.members)] = True
-        return out
+
+def split_bits(split: PartitionSet, k: int) -> np.ndarray:
+    """The k x 2 bit matrix [1_T, 1_T^c] of a split T."""
+    bits = np.array([(0.0, 1.0)] * k)
+    bits[list(split.members)] = (1.0, 0.0)
+    return bits
 
 
 def ht_partition(P0: Distribution, P1: Distribution) -> PartitionSet:
@@ -67,13 +71,19 @@ def mi_partition(P: Distribution) -> PartitionSet:
     return PartitionSet(members=members, mass=float(masses[winner]))
 
 
-def _two_output_split(in_split: np.ndarray, eps: float) -> Mechanism:
+def _staircase(bits: np.ndarray, eps: float) -> Mechanism:
+    """The staircase of a k x n bit matrix with one set bit per row. Written
+    with e = e^eps, each entry is one quotient of e or 1 by n - 1 + e; in
+    delta, 1 + delta would round once more from eps ~ 37."""
     e = exp_eps(eps)
-    high = e / (1.0 + e)
-    low = 1.0 / (1.0 + e)
-    # Both columns from the two levels: 1 - high loses the bits of low
-    # below 1e-16, and is 0 from eps ~ 37.
-    return Mechanism(np.where(in_split[:, None], (high, low), (low, high)))
+    return Mechanism(np.where(bits, e, 1.0) / (bits.shape[1] - 1 + e))
+
+
+def staircase_value(scores: np.ndarray, delta: float) -> float:
+    """Utility of a staircase from the scores of its n unit-max pattern
+    columns (1 + delta b_y) / (1 + delta): output y is column y times
+    (1 + delta) / (n + delta), and column scores are positively homogeneous."""
+    return float(scores.sum()) * ((1.0 + delta) / (scores.size + delta))
 
 
 def binary_ht(P0: Distribution, P1: Distribution, eps: float) -> Mechanism:
@@ -83,9 +93,7 @@ def binary_ht(P0: Distribution, P1: Distribution, eps: float) -> Mechanism:
     1/(1+e^eps) elsewhere; output 1 complements. Saturates the eps
     constraint and is a staircase for every eps.
     """
-    if P0.k != P1.k:
-        raise DimensionMismatch("priors must share an alphabet")
-    return _two_output_split(P0.probs >= P1.probs, eps)
+    return _staircase(split_bits(ht_partition(P0, P1), P0.k), eps)
 
 
 def binary_mi(P: Distribution, eps: float) -> Mechanism:
@@ -94,8 +102,7 @@ def binary_mi(P: Distribution, eps: float) -> Mechanism:
     The split set is chosen by exhaustive search to bring its mass as close
     to 1/2 as possible (deterministic tie-breaking; see mi_partition).
     """
-    split = mi_partition(P)
-    return _two_output_split(split.indicator(P.k), eps)
+    return _staircase(split_bits(mi_partition(P), P.k), eps)
 
 
 def randomized_response(k: int, eps: float) -> Mechanism:
@@ -105,10 +112,7 @@ def randomized_response(k: int, eps: float) -> Mechanism:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    e = exp_eps(eps)
-    rows = np.full((k, k), 1.0 / (k - 1 + e))
-    np.fill_diagonal(rows, e / (k - 1 + e))
-    return Mechanism(rows)
+    return _staircase(np.eye(k, dtype=bool), eps)
 
 
 def geometric(k: int, eps: float) -> Mechanism:

@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AlphabetTooLarge, PatternMatrix, Mechanism, _pattern_bits,
-                   pattern_matrix)
+from .core import (PARSE_ROW_SUM_TOL, AlphabetTooLarge, PatternMatrix, Mechanism,
+                   _pattern_bits, pattern_matrix)
 from .utilities import UtilitySpec, pattern_scores
 
 # The vertex oracle enumerates the C(2^k, k) bases: 1,820 at k = 4 and
@@ -71,9 +71,8 @@ PRICING_NOISE = 4 * np.finfo(float).eps
 
 # solve's feasibility certificate on the original S. S theta holds the
 # mechanism's row sums before normalization, so it gets the wire format's
-# 1e-9 row-sum gate. The scaled weights are at most 1 and come from a well
+# PARSE_ROW_SUM_TOL. The scaled weights are at most 1 and come from a well
 # conditioned basis, so a weight below -1e-12 marks an infeasible basis.
-CERT_RESIDUAL_TOL = 1e-9
 CERT_NEG_TOL = 1e-12
 
 # Basic columns whose mass theta_j * s_j (s_j the column's largest entry) is
@@ -274,7 +273,7 @@ def solve(lp: StaircaseLP) -> LPSolution:
 
     mass = np.linalg.solve(A[:, basis], rhs)
     basic = mass / scale[basis]
-    if (float(np.abs(lp.pattern.column(basis) @ basic - 1.0).max()) > CERT_RESIDUAL_TOL
+    if (float(np.abs(lp.pattern.column(basis) @ basic - 1.0).max()) > PARSE_ROW_SUM_TOL
             or basic.min() < -CERT_NEG_TOL):
         raise NumericalBreakdown("solution fails its feasibility certificate")
     theta = np.zeros(n)

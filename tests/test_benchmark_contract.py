@@ -7,6 +7,9 @@ benchmark.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,20 @@ def test_benchmark_names_resolve():
     for name in ("SweepConfig", "run_sweep", "sweep_csv", "sweep_summary", "main"):
         assert hasattr(ldpopt.cli, name), f"cli.{name}"
     assert isinstance(ldpopt.StaircaseLP.num_columns, property)
+
+
+def test_cli_names_resolve_after_a_bare_import():
+    # The benchmark imports only ldpopt and then reads ldpopt.cli. In this
+    # process other test modules import ldpopt.cli themselves, so the check
+    # runs in a fresh interpreter.
+    src = Path(ldpopt.__file__).resolve().parents[1]
+    code = ("import ldpopt\n"
+            "print(ldpopt.__file__)\n"
+            "for name in ('SweepConfig', 'run_sweep', 'sweep_csv', 'sweep_summary', 'main'):\n"
+            "    getattr(ldpopt.cli, name)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert Path(done.stdout.strip()).resolve() == Path(ldpopt.__file__).resolve()

@@ -48,6 +48,19 @@ class TestMechCommand:
     def test_validation_error_exit_code(self, capsys):
         assert main(["mech", "rr", "--k", "1", "--eps", "1.0"]) == 1
 
+    def test_allocation_failure_is_one_line(self, monkeypatch, capsys):
+        # What numpy raises for `mech rr --k 1000000`; nothing is allocated.
+        def too_large(k, eps):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                              "(1000000, 1000000) and data type float64")
+
+        monkeypatch.setattr("ldpopt.cli.randomized_response", too_large)
+        assert main(["mech", "rr", "--k", "1000000", "--eps", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: Unable to allocate 7.28 TiB for an array with "
+                                "shape (1000000, 1000000) and data type float64\n")
+
 
 class TestOptCommand:
     def test_tv_round_trip_is_staircase(self, tmp_path, capsys):
@@ -321,6 +334,16 @@ class TestSweepCommand:
         assert (tmp_path / "c.csv").exists()
         assert "min mixed-strategy ratio" in capsys.readouterr().out
 
+    def test_out_flag_overrides_config_out_path(self, tmp_path, capsys):
+        cfg = dict(self.CFG, eps_grid=list(self.CFG["eps_grid"]),
+                   out_path=str(tmp_path / "file.csv"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        flag = tmp_path / "flag.csv"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(flag)]) == 0
+        assert flag.read_text().startswith("instance_id,eps,mechanism,")
+        assert not (tmp_path / "file.csv").exists()
+
     def test_invalid_config(self, capsys):
         assert main(["sweep", "--k", "3", "--eps-grid", "",
                      "--utility", "kl"]) == 1
@@ -343,6 +366,14 @@ class TestSweepCommand:
         ("seed", True, "seed must be an integer, got True"),
         ("eps_grid", 1.0, "eps_grid must be a nonempty list of numbers, got 1.0"),
         ("eps_grid", ["a"], "eps_grid: 'a' is not a number"),
+        ("mechanisms", 5, f"mechanisms must be a list of names from "
+                          f"{L.cli.SWEEP_MECHANISMS}, got 5"),
+        ("mechanisms", "rr", f"mechanisms must be a list of names from "
+                             f"{L.cli.SWEEP_MECHANISMS}, got 'rr'"),
+        ("mechanisms", ["rr", "lasso"], f"mechanisms must be a list of names from "
+                                        f"{L.cli.SWEEP_MECHANISMS}, got ['rr', 'lasso']"),
+        ("out_path", 1, "out_path must be a string, got 1"),
+        ("out_path", True, "out_path must be a string, got True"),
     ])
     def test_bad_config_field_is_named(self, tmp_path, capsys, field, value, message):
         cfg = dict(self.CFG, eps_grid=list(self.CFG["eps_grid"]))
@@ -353,6 +384,16 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ("3", "int"),
+                                            ('"k"', "str"), ("null", "NoneType")])
+    def test_config_must_be_an_object(self, tmp_path, capsys, text, kind):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert main(["sweep", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config must be a JSON object, got {kind}\n"
 
     @pytest.mark.parametrize("k", [1, 13])
     def test_k_outside_range_is_named(self, capsys, k):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ldpopt as L
-from ldpopt.core import DEFAULT_RATIO_TOL, MAX_EPS, ROW_SUM_TOL
+from ldpopt.core import DEFAULT_RATIO_TOL, MAX_EPS, ROW_SUM_TOL, pattern_index
 
 
 def _random_staircase_rows(rng, k, eps):
@@ -331,6 +331,14 @@ class TestPatternMatrix:
                 assert not mat.flags.writeable
                 with pytest.raises(ValueError):
                     mat[0, 0] = 0.0
+
+    @pytest.mark.parametrize("k", [2, 5, 12])
+    def test_pattern_index_inverts_the_bits(self, k):
+        bits = L.pattern_matrix(k, 0.0).bits
+        np.testing.assert_array_equal(pattern_index(bits), np.arange(2**k))
+        # The one-bit columns are randomized response's, row 0 the top bit.
+        np.testing.assert_array_equal(pattern_index(np.eye(k, dtype=bool)),
+                                      2 ** np.arange(k - 1, -1, -1))
 
 
 class TestLocalPrivacy:
