@@ -19,14 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import converse_suite, mi_converse_suite
-from .core import (MAX_LP_K, Distribution, Mechanism, effective_epsilon, exp_eps,
+from .core import (MAX_EPS, MAX_LP_K, Distribution, Mechanism, effective_epsilon, exp_eps,
                    induced_marginal, is_approx_private, is_locally_private,
                    is_staircase, make_distribution, mechanism_from_json,
                    mechanism_to_json, pattern_index)
 from .mechanisms import (binary_ht, binary_mi, geometric, ht_partition, mi_partition,
                          quaternary, randomized_response, split_bits, staircase_value)
-from .optsolve import (DegenerateBasis, NumericalBreakdown, build_lp,
-                       extract_mechanism, solve)
+from .optsolve import (LP_CACHE_SIZE, DegenerateBasis, NumericalBreakdown,
+                       build_lp, extract_mechanism, solve)
 from .regions import region_eps_delta, tradeoff_region
 from .utilities import (CHI2, KL, TV, AbsoluteContinuityViolated, f_divergence,
                         hypothesis_testing, information_preservation, utility)
@@ -79,8 +79,35 @@ class SweepConfig:
 
     def __post_init__(self):
         # A --config file can give any JSON value; each error names its field.
-        # int and float come first in the isinstance tuples, as a check
-        # against a numbers ABC alone takes about 1 us per value.
+        # Plain ints, a tuple of plain floats in [0, MAX_EPS] and the full
+        # tuple of mechanisms are accepted in one pass; any other value takes
+        # the field-by-field checks, which raise the same errors in the same
+        # order.
+        seed, k, n = self.seed, self.k, self.num_instances
+        if not (type(seed) is int and type(k) is int and type(n) is int
+                and seed >= 0 and n >= 1):
+            self._check_counts()
+        grid = self.eps_grid
+        if not (type(grid) is tuple and grid
+                and all([type(eps) is float and 0.0 <= eps <= MAX_EPS for eps in grid])):
+            self._check_grid()
+        if self.utility not in ("kl", "tv", "chi2", "mi"):
+            raise ValueError(f"unknown utility {self.utility!r}")
+        mechanisms = self.mechanisms
+        if not (type(mechanisms) is tuple and mechanisms == SWEEP_MECHANISMS):
+            if (not isinstance(mechanisms, (list, tuple))
+                    or not all(m in SWEEP_MECHANISMS for m in mechanisms)):
+                raise ValueError(f"mechanisms must be a list of names from "
+                                 f"{SWEEP_MECHANISMS}, got {mechanisms!r}")
+            object.__setattr__(self, "mechanisms", tuple(mechanisms))
+        # Every row carries the LP optimum for its ratio column, so the
+        # alphabet cap applies to all sweeps, not only "optimal" rows.
+        if not 2 <= self.k <= MAX_LP_K:
+            raise ValueError(f"sweeps need k in [2, {MAX_LP_K}], got k={self.k}")
+
+    def _check_counts(self):
+        # int comes first in the isinstance tuple, as a check against a
+        # numbers ABC alone takes about 1 us per value.
         for name in ("seed", "k", "num_instances"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
@@ -89,6 +116,8 @@ class SweepConfig:
             raise ValueError("seed must be a nonnegative integer")
         if self.num_instances < 1:
             raise ValueError("need at least one instance")
+
+    def _check_grid(self):
         if not isinstance(self.eps_grid, (list, tuple)) or not self.eps_grid:
             raise ValueError(f"eps_grid must be a nonempty list of numbers, "
                              f"got {self.eps_grid!r}")
@@ -97,17 +126,6 @@ class SweepConfig:
             if isinstance(eps, bool) or not isinstance(eps, (float, int, numbers.Real)):
                 raise ValueError(f"eps_grid: {eps!r} is not a number")
             exp_eps(eps)
-        if self.utility not in ("kl", "tv", "chi2", "mi"):
-            raise ValueError(f"unknown utility {self.utility!r}")
-        if (not isinstance(self.mechanisms, (list, tuple))
-                or not all(m in SWEEP_MECHANISMS for m in self.mechanisms)):
-            raise ValueError(f"mechanisms must be a list of names from "
-                             f"{SWEEP_MECHANISMS}, got {self.mechanisms!r}")
-        object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
-        # Every row carries the LP optimum for its ratio column, so the
-        # alphabet cap applies to all sweeps, not only "optimal" rows.
-        if not 2 <= self.k <= MAX_LP_K:
-            raise ValueError(f"sweeps need k in [2, {MAX_LP_K}], got k={self.k}")
 
 
 @dataclass(frozen=True)
@@ -135,6 +153,14 @@ def _instance_priors(cfg: SweepConfig, instance_id: int):
     return hypothesis_testing(FDIV_KINDS[cfg.utility], draw(), draw())
 
 
+@functools.lru_cache(maxsize=LP_CACHE_SIZE)
+def _sweep_geometric(k: int, eps: float) -> Mechanism:
+    """geometric(k, eps) for run_sweep, built once per (k, eps). Sweeps cap
+    k at MAX_LP_K, so an entry is at most 12 x 12 floats; `ldpopt mech`
+    calls geometric itself and caches nothing."""
+    return geometric(k, eps)
+
+
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """One row per (instance, eps, mechanism), in canonical sorted order.
 
@@ -146,11 +172,10 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     LP costs at its columns. T is {x : P0(x) >= P1(x)}, or mi_partition's
     split for mutual information, found once per instance. mixed is the
     larger of binary and rr. geometric is scored by `utility` on one
-    mechanism per eps, shared by every instance.
+    mechanism per (k, eps), shared by every instance and every sweep.
     """
     k, wanted = cfg.k, set(cfg.mechanisms)
-    geo = ({eps: geometric(k, eps) for eps in cfg.eps_grid if eps > 0}
-           if "geometric" in wanted else {})
+    geo = "geometric" in wanted
     rr_cols = pattern_index(np.eye(k))
     rows = []
     for instance_id in range(cfg.num_instances):
@@ -171,8 +196,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
             rr = staircase_value(lp.cost[rr_cols], delta)
             values = {"binary": binary, "rr": rr, "mixed": max(binary, rr),
                       "optimal": opt}
-            if eps in geo:
-                values["geometric"] = utility(spec, geo[eps])
+            if geo and eps > 0:
+                values["geometric"] = utility(spec, _sweep_geometric(k, eps))
             for name in sorted(wanted & set(values)):
                 v = values[name]
                 ratio = v / opt if opt > ZERO_OPT else 1.0

@@ -18,9 +18,13 @@ conditioned feasible basis at every eps, so no phase 1 is needed. The
 costs are divided by their largest entry, making PIVOT_TOL relative.
 
 S itself is never built here. The costs come from the prior masses on
-the eps-free bit matrix (`utilities.pattern_scores`), the bit-difference
-rows are cached per k, so an eps adds only row 0 and the column scales,
-and the certificate and the extraction build just the basis columns.
+the eps-free bit matrix (`utilities.pattern_scores`), and they are the only
+part of the LP that depends on the priors. The bit-difference rows are
+cached per k; the rest of the prior-free part, the difference rows with
+row 0, the column scales and the randomized-response start basis with its
+inverse, is cached per (k, eps), about 427 KB per entry at k = 12, so
+solves at a repeated eps build none of it. The certificate and the
+extraction build just the basis columns.
 The oracle solves its bases by Cramer's rule: in these rows a basis's
 row-0 cofactors are integer minors of the bit differences, so they and the
 basis's determinant, up to one eps-dependent term, are cached per k.
@@ -56,6 +60,14 @@ from .utilities import UtilitySpec, pattern_scores
 # 13 MB; a call took 26-35 ms and 43 MB more, and peak RSS rose by 63 MB
 # (2-vCPU Xeon, one BLAS thread). k = 6 would have 7.5e7 bases.
 MAX_ORACLE_K = 5
+
+# solve's prior-free start per (k, eps) (_lp_start): at MAX_LP_K an entry
+# holds 12 x 4,096 difference rows and 4,096 column scales in floats, plus a
+# 12-column basis and its 12 x 12 inverse: 427,232 bytes, so the cache
+# holds at most LP_CACHE_SIZE x 427 KB (13.7 MB); at k = 6 an entry is 4.4 KB.
+# 32 entries hold the largest sweep grid (11 eps) at once, and all 32
+# (k, eps) pairs of the benchmark's certify workload.
+LP_CACHE_SIZE = 32
 
 PIVOT_TOL = 1e-10
 
@@ -217,19 +229,34 @@ def _bit_differences(k: int) -> np.ndarray:
 
 def _difference_rows(pattern: PatternMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Rows A and column scales s with S theta = 1 iff A (theta * s) = e_0
-    at eps > 0: row 0 of S / s above the eps-free bit differences.
+    at eps > 0: row 0 of S / s above the eps-free bit differences. Both are
+    read-only and shared; see _lp_start."""
+    A, scale, _, _ = _lp_start(pattern.k, pattern.eps)
+    return A, scale
+
+
+@functools.lru_cache(maxsize=LP_CACHE_SIZE)
+def _lp_start(k: int, eps: float) -> tuple[np.ndarray, ...]:
+    """The prior-free part of solve at (k, eps), read-only: the difference
+    rows A, the column scales s, the randomized-response basis and its
+    inverse in A.
 
     s_j is column j's largest entry: 1 for the all-ones column 0 and
     (e^eps - 1) + 1 for every other column. Row 0 of S / s is 1 where bit 0
     is set (j >= 2^(k-1)) and at j = 0, and 1 / s_j elsewhere. Only solve
-    builds these rows; the vertex oracle needs just the bit differences.
+    uses these rows; the vertex oracle needs just the bit differences.
+    solve copies the basis and its inverse, which the simplex updates.
     """
-    n = pattern.num_columns
-    scale = np.full(n, pattern.delta + 1.0)
+    n = 2**k
+    scale = np.full(n, PatternMatrix(k, eps).delta + 1.0)
     scale[0] = 1.0
     row0 = 1.0 / scale
     row0[n // 2:] = 1.0
-    return np.vstack([row0, _bit_differences(pattern.k)]), scale
+    start = (np.vstack([row0, _bit_differences(k)]), scale,
+             1 << (k - 1 - np.arange(k)), _rr_inverse(k, 1.0 / float(scale[1])))
+    for arr in start:
+        arr.flags.writeable = False
+    return start
 
 
 def _rr_inverse(k: int, a: float) -> np.ndarray:
@@ -260,12 +287,12 @@ def solve(lp: StaircaseLP) -> LPSolution:
     can; a cost that is not finite is numerical breakdown.
     """
     k, n = lp.k, lp.num_columns
-    A, scale = _difference_rows(lp.pattern)
+    A, scale, start, start_inv = _lp_start(k, lp.pattern.eps)
     rhs = np.zeros(k)
     rhs[0] = 1.0
 
-    basis = 1 << (k - 1 - np.arange(k))
-    Binv = _rr_inverse(k, 1.0 / float(scale[1]))
+    basis = start.copy()
+    Binv = start_inv.copy()
     top = float(np.abs(lp.cost).max())
     if not math.isfinite(top):
         raise NumericalBreakdown("a column score is not finite at this eps")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 import ldpopt as L
 from ldpopt.cli import _instance_priors, main
+from ldpopt.core import MAX_EPS
 
 
 class TestMechCommand:
@@ -395,6 +397,42 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err == f"error: config must be a JSON object, got {kind}\n"
 
+    # Python callers can pass values a JSON file cannot. Plain ints and
+    # floats in range take a one-pass check; every other value must raise
+    # what the field-by-field checks raise, the first bad field first.
+    @pytest.mark.parametrize("fields, message", [
+        (dict(eps_grid=(1.0, math.nan)), "got eps=nan, delta=0.0"),
+        (dict(eps_grid=(math.inf,)), "got eps=inf, delta=0.0"),
+        (dict(eps_grid=(-0.5,)), "got eps=-0.5, delta=0.0"),
+        (dict(eps_grid=(np.float64(800.0),)), "got eps=800.0, delta=0.0"),
+        (dict(eps_grid=(np.float64("nan"),)), "got eps=nan, delta=0.0"),
+        (dict(eps_grid=(1.0, True)), "eps_grid: True is not a number"),
+        (dict(eps_grid=(1.0, "2.0")), "eps_grid: '2.0' is not a number"),
+        (dict(eps_grid=()), "eps_grid must be a nonempty list of numbers, got ()"),
+        (dict(k=np.float64(6.0)), f"k must be an integer, got {np.float64(6.0)!r}"),
+        (dict(num_instances=False), "num_instances must be an integer, got False"),
+        (dict(seed=-1, eps_grid=(math.nan,)), "seed must be a nonnegative integer"),
+        (dict(num_instances=0, k=99), "need at least one instance"),
+        (dict(eps_grid=(math.nan,), k=99), "got eps=nan, delta=0.0"),
+        (dict(mechanisms=("rr", 1)), "mechanisms must be a list of names from"),
+    ])
+    def test_python_config_errors(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            L.SweepConfig(**dict(self.CFG, **fields))
+
+    def test_python_config_values_kept(self):
+        class Grid(tuple):
+            pass
+
+        cfg = L.SweepConfig(seed=np.int64(3), k=np.int64(4), num_instances=2,
+                            eps_grid=Grid([np.float64(0.5), 1, 0.0, -0.0, MAX_EPS]),
+                            utility="mi", mechanisms=["rr", "optimal"])
+        assert (cfg.seed, cfg.k, cfg.num_instances) == (3, 4, 2)
+        assert type(cfg.eps_grid) is tuple and cfg.eps_grid == (0.5, 1, 0.0, 0.0, MAX_EPS)
+        assert type(cfg.mechanisms) is tuple and cfg.mechanisms == ("rr", "optimal")
+        plain = L.SweepConfig(**self.CFG, mechanisms=Grid(L.cli.SWEEP_MECHANISMS))
+        assert type(plain.mechanisms) is tuple
+
     @pytest.mark.parametrize("k", [1, 13])
     def test_k_outside_range_is_named(self, capsys, k):
         assert main(["sweep", "--k", str(k), "--eps-grid", "1",
@@ -407,11 +445,12 @@ class TestSweepCommand:
     # benchmark's eps grids, all five mechanisms) over run_sweep, sweep_csv
     # and sweep_summary, counted by sys.setprofile after a warm-up pass:
     # 2,102 before the fixed per-call costs were cut, 1,570 after; 1,462
-    # before binary and rr were read off the LP objective, 1,229 after
-    # (numpy 2.4, Python 3.11). numpy's own Python wrappers are
-    # counted, so the budget holds only for the versions it was measured
-    # with.
-    CALLS_PER_OP = 1229
+    # before binary and rr were read off the LP objective, 1,229 after;
+    # 1,240 before solve's prior-free start and the geometric baseline were
+    # cached per (k, eps), 1,078 after (numpy 2.4, Python 3.11). numpy's own
+    # Python wrappers are counted, so the budget holds only for the versions
+    # it was measured with.
+    CALLS_PER_OP = 1078
     CALL_BUDGET = 1.10 * CALLS_PER_OP
 
     @pytest.mark.skipif(np.__version__.split(".")[:2] != ["2", "4"]

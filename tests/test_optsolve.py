@@ -483,6 +483,81 @@ class TestStartInverse:
                                                       abs=1e-300)
 
 
+class TestStartCache:
+    """solve's prior-free start is cached per (k, eps) and shared read-only,
+    so no result may depend on whether the cache is cold or warm."""
+
+    @staticmethod
+    def _specs(k, seed):
+        rng = np.random.default_rng([seed, k])
+        p0 = L.make_distribution(rng.dirichlet(np.ones(k)))
+        p1 = L.make_distribution(rng.dirichlet(np.ones(k)))
+        return ([L.hypothesis_testing(kind, p0, p1) for kind in (L.KL, L.TV, L.CHI2)]
+                + [L.information_preservation(p0)])
+
+    @staticmethod
+    def _result(sol):
+        return sol.value, sol.basis, sol.pivots, sol.theta.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 12])
+    def test_cold_and_warm_solves_agree(self, k):
+        for spec in self._specs(k, 61):
+            for eps in (0.0, 1e-6, 0.5, 8.0, 30.0):
+                lp = L.build_lp(spec, eps)
+                optsolve._lp_start.cache_clear()
+                cold = self._result(L.solve(lp))
+                assert optsolve._lp_start.cache_info().currsize == 1
+                assert self._result(L.solve(lp)) == cold
+
+    @pytest.mark.parametrize("k", [3, 6, 12])
+    def test_alternating_priors_leave_results_unchanged(self, k):
+        # The simplex updates its basis and inverse in place; were they the
+        # cached arrays, the second prior would start from the first's
+        # optimum and the third solve would differ from the first.
+        for eps in (0.5, 8.0):
+            for a, b in zip(self._specs(k, 62), self._specs(k, 63)):
+                lps = [L.build_lp(a, eps), L.build_lp(b, eps)]
+                want = []
+                for lp in lps:
+                    optsolve._lp_start.cache_clear()
+                    want.append(self._result(L.solve(lp)))
+                optsolve._lp_start.cache_clear()
+                for _ in range(3):
+                    assert [self._result(L.solve(lp)) for lp in lps] == want
+
+    def test_cached_arrays_are_read_only(self):
+        start = optsolve._lp_start(6, 0.5)
+        assert len(start) == 4
+        for arr in (*start, *_difference_rows(L.pattern_matrix(6, 0.5))):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            L.cli._sweep_geometric(6, 0.5).rows[0, 0] = 0.0
+
+    def test_cache_is_bounded(self):
+        assert optsolve._lp_start.cache_info().maxsize == optsolve.LP_CACHE_SIZE
+        assert L.cli._sweep_geometric.cache_info().maxsize == optsolve.LP_CACHE_SIZE
+
+    def test_sweep_geometric_rows_cold_and_warm(self):
+        cfg = L.SweepConfig(seed=5, k=6, num_instances=3, eps_grid=(0.0, 0.5, 2.0),
+                            utility="kl", mechanisms=("geometric", "optimal"))
+        L.cli._sweep_geometric.cache_clear()
+        optsolve._lp_start.cache_clear()
+        cold = L.run_sweep(cfg)
+        assert cold == L.run_sweep(cfg)
+        geo = [r for r in cold if r.mechanism == "geometric"]
+        assert len(geo) == 6
+        for r in geo:
+            spec = _instance_priors(cfg, r.instance_id)
+            assert r.utility_value == L.utility(spec, L.geometric(6, r.eps))
+
+    def test_mech_command_caches_nothing(self, capsys):
+        before = L.cli._sweep_geometric.cache_info().currsize
+        assert L.cli.main(["mech", "geometric", "--k", "20", "--eps", "1.0"]) == 0
+        capsys.readouterr()
+        assert L.cli._sweep_geometric.cache_info().currsize == before
+
+
 class TestSimplexBreakdown:
     def test_no_admissible_pivot(self):
         # Column 2 improves the objective but has no positive entry in the
