@@ -15,12 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionMismatch, Distribution, Mechanism, exp_eps, induced_marginal
-from .mechanisms import (binary_ht, binary_mi, ht_partition, mi_partition, split_bits,
-                         staircase_value)
+from .mechanisms import ht_partition, mi_partition, split_bits, staircase_value
 from .optsolve import build_lp, solve
 from .utilities import (KL, TV, UtilitySpec, entropy, f_divergence, hypothesis_testing,
-                        information_preservation, mutual_information, pattern_scores,
-                        utility)
+                        information_preservation, mutual_information, pattern_scores)
 
 BOUND_TOL = 1e-9
 
@@ -211,8 +209,3 @@ def marginal_ratio_bounds(P0: Distribution, P1: Distribution, Q: Mechanism,
         worst = max(worst, ratio - upper, lower - ratio)
     return BoundReport("marginal-ratio-bounds", worst, 0.0)
 
-
-def binary_utility(spec: UtilitySpec, eps: float) -> float:
-    """Utility achieved by the matching two-output mechanism (direct path)."""
-    return utility(spec, binary_mi(spec.p, eps) if spec.objective == "mi"
-                   else binary_ht(spec.p0, spec.p1, eps))

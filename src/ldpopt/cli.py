@@ -215,6 +215,8 @@ def sweep_csv(rows: list[SweepRow]) -> str:
 
 
 def sweep_summary(rows: list[SweepRow]) -> str:
+    """Mean ratio per eps and mechanism. The "min mixed-strategy ratio" is
+    the least over the sampled priors, not a worst case over all priors."""
     by_eps: dict[float, dict[str, list[float]]] = {}
     for r in rows:
         by_eps.setdefault(r.eps, {}).setdefault(r.mechanism, []).append(r.ratio)

@@ -11,13 +11,20 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-# Default relative tolerance on likelihood ratios.
+# Rounding slack of the privacy predicates: a likelihood ratio may reach
+# e^eps (1 + this), and a worst-subset excess delta + this.
 DEFAULT_RATIO_TOL = 1e-9
+
+# Slack of is_staircase on a log-ratio. Mechanisms are normalized from row
+# sums within a few 1e-9 of 1 (solve's certificate, PARSE_ROW_SUM_TOL),
+# which moves a log-ratio by about 1e-8 at most.
+STAIRCASE_LOG_TOL = 1e-7
 
 # Row sums of constructed mechanisms / distributions must match 1 this tightly.
 ROW_SUM_TOL = 1e-12
@@ -255,39 +262,39 @@ def is_locally_private(Q: Mechanism, eps: float) -> bool:
     return effective_epsilon(Q) <= eps + math.log1p(DEFAULT_RATIO_TOL)
 
 
-def is_approx_private(Q: Mechanism, eps: float, delta: float,
-                      tol: float = DEFAULT_RATIO_TOL) -> bool:
+def is_approx_private(Q: Mechanism, eps: float, delta: float) -> bool:
     """Check (eps, delta) privacy via the worst output subset.
 
     For each ordered pair (x, x') the maximizing subset is
     S* = {y : Q(y|x) > e^eps Q(y|x')} since each output contributes
-    independently and positively; the check is Q(S*|x) - e^eps Q(S*|x') <= delta.
+    independently and positively; the check is Q(S*|x) - e^eps Q(S*|x') <= delta
+    up to DEFAULT_RATIO_TOL.
     """
     e = exp_eps(eps, delta)
     rows = Q.rows
     gap = rows[:, None, :] - e * rows[None, :, :]
     worst = np.clip(gap, 0.0, None).sum(axis=2)
-    return bool(np.all(worst <= delta + tol))
+    return bool(np.all(worst <= delta + DEFAULT_RATIO_TOL))
 
 
-def is_staircase(Q: Mechanism, eps: float, tol: float = 1e-7) -> bool:
-    """True iff every column's pairwise |log-ratio| is within tol of 0 or eps.
+def is_staircase(Q: Mechanism, eps: float) -> bool:
+    """True iff each column's log-ratios are within STAIRCASE_LOG_TOL of 0 or eps.
 
     All-zero columns are allowed; columns mixing zero and positive masses
     are not a staircase (the ratio is unbounded). An entry counts as zero
-    below its column's largest entry times e^-(eps + tol), the smallest
-    level a staircase column holds; an absolute floor would read the low
-    level of a staircase as zero at large eps.
+    below its column's largest entry times e^-(eps + STAIRCASE_LOG_TOL),
+    the smallest level a staircase column holds; an absolute floor would
+    read the low level of a staircase as zero at large eps.
     """
     exp_eps(eps)
-    floor = Q.rows.max(axis=0) * math.exp(-(eps + tol))
+    floor = Q.rows.max(axis=0) * math.exp(-(eps + STAIRCASE_LOG_TOL))
     pos = Q.rows > floor
     live = pos.any(axis=0)
     if (pos != live).any():
         return False
     logs = np.log(Q.rows[:, live])
     diff = np.abs(logs[:, None, :] - logs[None, :, :])
-    return bool((np.minimum(diff, np.abs(diff - eps)) <= tol).all())
+    return bool((np.minimum(diff, np.abs(diff - eps)) <= STAIRCASE_LOG_TOL).all())
 
 
 def effective_epsilon(Q: Mechanism) -> float:
@@ -345,8 +352,9 @@ def mechanism_from_dict(obj: dict) -> MechanismRecord:
         if key not in obj:
             raise MechanismFormatError(f"missing key {key!r}")
     k, l, rows = obj["k"], obj["l"], obj["rows"]
-    if not isinstance(k, int) or not isinstance(l, int) or k < 1 or l < 1:
-        raise MechanismFormatError("k and l must be positive integers")
+    for name, v in (("k", k), ("l", l)):
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise MechanismFormatError(f"{name} must be a positive integer")
     if not isinstance(rows, list) or len(rows) != k:
         raise MechanismFormatError(f"expected {k} rows, found {len(rows) if isinstance(rows, list) else 'none'}")
     mat = np.zeros((k, l))
@@ -354,7 +362,9 @@ def mechanism_from_dict(obj: dict) -> MechanismRecord:
         if not isinstance(row, list) or len(row) != l:
             raise MechanismFormatError(f"row {x}: expected {l} entries")
         for y, v in enumerate(row):
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            # An exact comparison: a NaN or an int too large for a float fails.
+            if (not isinstance(v, (int, float)) or isinstance(v, bool)
+                    or not abs(v) <= sys.float_info.max):
                 raise MechanismFormatError(f"row {x}, column {y}: not a finite number")
             if v < 0:
                 raise MechanismFormatError(f"row {x}, column {y}: negative mass {v!r}")
@@ -388,6 +398,6 @@ def mechanism_to_json(Q: Mechanism, eps_claimed: float | None = None,
 def mechanism_from_json(text: str) -> MechanismRecord:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4,300 digits
         raise MechanismFormatError(f"invalid JSON: {exc}") from exc
     return mechanism_from_dict(obj)

@@ -20,10 +20,8 @@ costs are divided by their largest entry, making PIVOT_TOL relative.
 S itself is never built here. The costs come from the prior masses on
 the eps-free bit matrix (`utilities.pattern_scores`), and they are the only
 part of the LP that depends on the priors. The bit-difference rows are
-cached per k; the rest of the prior-free part, the difference rows with
-row 0, the column scales and the randomized-response start basis with its
-inverse, is cached per (k, eps), about 427 KB per entry at k = 12, so
-solves at a repeated eps build none of it. The certificate and the
+cached per k and the rest of the prior-free part per (k, eps) (_lp_start),
+so solves at a repeated eps build none of it. The certificate and the
 extraction build just the basis columns.
 The oracle solves its bases by Cramer's rule: in these rows a basis's
 row-0 cofactors are integer minors of the bit differences, so they and the
@@ -51,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (PARSE_ROW_SUM_TOL, AlphabetTooLarge, PatternMatrix, Mechanism,
-                   _pattern_bits, pattern_matrix)
+                   _pattern_bits, pattern_index, pattern_matrix)
 from .utilities import UtilitySpec, pattern_scores
 
 # The vertex oracle enumerates the C(2^k, k) bases: 1,820 at k = 4 and
@@ -227,52 +225,29 @@ def _bit_differences(k: int) -> np.ndarray:
     return rows
 
 
-def _difference_rows(pattern: PatternMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Rows A and column scales s with S theta = 1 iff A (theta * s) = e_0
-    at eps > 0: row 0 of S / s above the eps-free bit differences. Both are
-    read-only and shared; see _lp_start."""
-    A, scale, _, _ = _lp_start(pattern.k, pattern.eps)
-    return A, scale
-
-
 @functools.lru_cache(maxsize=LP_CACHE_SIZE)
 def _lp_start(k: int, eps: float) -> tuple[np.ndarray, ...]:
-    """The prior-free part of solve at (k, eps), read-only: the difference
-    rows A, the column scales s, the randomized-response basis and its
-    inverse in A.
+    """The prior-free part of solve at (k, eps), computed once per (k, eps)
+    and read-only: the difference rows A, the column scales s, and the
+    randomized-response basis with its inverse in A.
 
     s_j is column j's largest entry: 1 for the all-ones column 0 and
-    (e^eps - 1) + 1 for every other column. Row 0 of S / s is 1 where bit 0
-    is set (j >= 2^(k-1)) and at j = 0, and 1 / s_j elsewhere. Only solve
-    uses these rows; the vertex oracle needs just the bit differences.
-    solve copies the basis and its inverse, which the simplex updates.
+    1 + delta for every other column, and row 0 of A is row 0 of the
+    pattern matrix over s. Only solve uses these rows; the vertex oracle
+    needs just the bit differences. The randomized-response basis is the
+    one-bit patterns; its condition number is at most 13 (k <= 12), so an
+    explicit inverse is accurate. solve copies the basis and its inverse,
+    which the simplex updates.
     """
-    n = 2**k
-    scale = np.full(n, PatternMatrix(k, eps).delta + 1.0)
+    delta = PatternMatrix(k, eps).delta
+    scale = np.full(2**k, delta + 1.0)
     scale[0] = 1.0
-    row0 = 1.0 / scale
-    row0[n // 2:] = 1.0
-    start = (np.vstack([row0, _bit_differences(k)]), scale,
-             1 << (k - 1 - np.arange(k)), _rr_inverse(k, 1.0 / float(scale[1])))
+    A = np.vstack([(1.0 + delta * _pattern_bits(k)[0]) / scale, _bit_differences(k)])
+    basis = pattern_index(np.eye(k))
+    start = (A, scale, basis, np.linalg.inv(A[:, basis]))
     for arr in start:
         arr.flags.writeable = False
     return start
-
-
-def _rr_inverse(k: int, a: float) -> np.ndarray:
-    """Inverse of the randomized-response basis in the difference rows.
-
-    Its columns are the one-bit patterns from bit 0 down, so the basis is
-    [[1, a, ..., a], [-1, I]] with a = 1 / (1 + delta), and its inverse is
-    I - a c 11^T with column 0 replaced by c = 1 / (1 + a (k - 1)). The
-    basis has condition number at most 13 (k <= 12), so an explicit
-    inverse is accurate.
-    """
-    c = 1.0 / (1.0 + a * (k - 1))
-    Binv = np.eye(k)
-    Binv -= a * c
-    Binv[:, 0] = c
-    return Binv
 
 
 def solve(lp: StaircaseLP) -> LPSolution:

@@ -103,7 +103,7 @@ def test_criterion_2_staircase_structure(pool):
                     lp, sol = pool.solve(k, i, tag, eps)
                     Q = L.extract_mechanism(sol, lp)
                     checked += 1
-                    if Q.l > k or not L.is_staircase(Q, eps, 1e-7):
+                    if Q.l > k or not L.is_staircase(Q, eps):
                         ok = False
                     if int((sol.theta > 1e-10).sum()) > k:
                         ok = False
@@ -278,7 +278,7 @@ def test_criterion_8_operational_equivalence():
         for eps in (0.0, 0.5, 1.0, 2.0, 5.0):
             for delta in (0.0, 0.05, 0.1, 0.3, 0.7):
                 if (L.operational_privacy_check(Q, eps, delta)
-                        != L.is_approx_private(Q, eps, delta, 1e-9)):
+                        != L.is_approx_private(Q, eps, delta)):
                     disagreements += 1
     ok = disagreements == 0
     _report(8, "operational (eps, delta) equivalence", ok,

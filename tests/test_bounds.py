@@ -54,19 +54,6 @@ class TestClosedFormsAgainstDirectEvaluation:
                     assert got_r == pytest.approx(want_r, abs=1e-12)
 
 
-class TestBinaryUtility:
-    def test_matches_utility_of_matching_mechanism(self):
-        rng = np.random.default_rng(61)
-        for p0, p1 in _priors(rng, 5, n=5):
-            for eps in (0.1, 1.0, 5.0):
-                kl = L.hypothesis_testing(L.KL, p0, p1)
-                assert L.binary_utility(kl, eps) == L.utility(kl, L.binary_ht(p0, p1, eps))
-                mi = L.information_preservation(p0)
-                assert L.binary_utility(mi, eps) == L.utility(mi, L.binary_mi(p0, eps))
-                assert L.binary_utility(mi, eps) == pytest.approx(
-                    L.mutual_information(p0, L.binary_mi(p0, eps)), rel=1e-12)
-
-
 class TestClosedFormValues:
     def test_binary_kl_hand_value(self):
         p0 = L.make_distribution([0.7, 0.3])

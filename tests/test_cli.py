@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -10,6 +11,12 @@ import pytest
 import ldpopt as L
 from ldpopt.cli import _instance_priors, main
 from ldpopt.core import MAX_EPS
+
+# Call counts and float output pinned on these versions: numpy's Python
+# wrappers and its floating-point kernels change between releases.
+pinned_versions = pytest.mark.skipif(
+    np.__version__.split(".")[:2] != ["2", "4"] or sys.version_info[:2] != (3, 11),
+    reason="pinned on numpy 2.4, Python 3.11")
 
 
 class TestMechCommand:
@@ -453,9 +460,7 @@ class TestSweepCommand:
     CALLS_PER_OP = 1078
     CALL_BUDGET = 1.10 * CALLS_PER_OP
 
-    @pytest.mark.skipif(np.__version__.split(".")[:2] != ["2", "4"]
-                        or sys.version_info[:2] != (3, 11),
-                        reason="call counts were measured on numpy 2.4, Python 3.11")
+    @pinned_versions
     def test_call_budget(self):
         grid = (0.1, 0.5, 1.0, 2.0, 4.0, 6.0, 10.0)
         grids = {"kl": grid, "tv": grid, "chi2": grid, "mi": grid[1:]}
@@ -481,6 +486,29 @@ class TestSweepCommand:
         finally:
             sys.setprofile(None)
         assert calls / len(cfgs) <= self.CALL_BUDGET
+
+    # SHA-256 of the seed-42 sweep CSVs and summaries per utility, over
+    # k = 2, 3 and 6 (20 instances, eps from 0 to 30) and k = 12 (2
+    # instances, eps 0.5 to 8). A change that claims the same sweep output
+    # keeps these bytes.
+    SWEEP_DIGESTS = {
+        "kl": "10a6f2ef90de8a63c7517e65218afaf4cf6e5061e7a23fbb6b6e741599ee5040",
+        "tv": "ae165cfd486814ad2d8f7416abd3fd7a16acb15650d40f8bd2e5a83754f522cc",
+        "chi2": "7c7e9694b9744fda5bfec0fb1a72dbdb6945a3eb159458ed31f128469c54c7c8",
+        "mi": "5c41b09af853730e6c08f4d91b430c4e8588c5c556014768c877e04ff39a9945",
+    }
+
+    @pinned_versions
+    def test_sweep_output_digest(self):
+        grid = (0.0, 1e-6, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 30.0)
+        runs = [(2, 20, grid), (3, 20, grid), (6, 20, grid), (12, 2, (0.5, 2.0, 4.0, 8.0))]
+        for utility, want in self.SWEEP_DIGESTS.items():
+            digest = hashlib.sha256()
+            for k, n, eps_grid in runs:
+                rows = L.run_sweep(L.SweepConfig(seed=42, k=k, num_instances=n,
+                                                 eps_grid=eps_grid, utility=utility))
+                digest.update((L.sweep_csv(rows) + L.sweep_summary(rows)).encode())
+            assert digest.hexdigest() == want, utility
 
 
 class TestExponentCommand:

@@ -461,7 +461,7 @@ class TestStaircase:
         for k, eps in ((3, 0.7), (4, 1.5), (2, 0.0)):
             for _ in range(5):
                 Q = L.Mechanism(_random_staircase_rows(rng, k, eps))
-                assert L.is_staircase(Q, eps, 1e-7)
+                assert L.is_staircase(Q, eps)
                 assert L.is_locally_private(Q, eps)
 
 
@@ -547,6 +547,15 @@ class TestSerialization:
                           ("delta_claimed", "-0.1"), ("delta_claimed", "1.5")):
             with pytest.raises(L.MechanismFormatError, match=name):
                 L.mechanism_from_json(f'{{{rows}, "{name}": {bad}}}')
+        # A JSON true is a Python int. A JSON integer may be too large for a
+        # float, or, past 4,300 digits, for json.loads itself.
+        for text, where in (('"k": true, "l": 2, "rows": [[0.5, 0.5]]', "^k "),
+                            ('"k": 2, "l": true, "rows": [[1.0], [1.0]]', "^l "),
+                            (f'"k": 1, "l": 2, "rows": [[0.5, 1{"0" * 400}]]',
+                             "^row 0, column 1: not a finite number"),
+                            (f'"k": 1, "l": 2, "rows": [[0.5, 1{"0" * 5000}]]', "^invalid JSON")):
+            with pytest.raises(L.MechanismFormatError, match=where):
+                L.mechanism_from_json(f"{{{text}}}")
 
     def test_rejects_shape_mismatch(self):
         obj = {"k": 2, "l": 3, "rows": [[0.5, 0.5], [0.5, 0.5]]}

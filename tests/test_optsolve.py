@@ -9,9 +9,8 @@ import pytest
 import ldpopt as L
 from ldpopt import optsolve
 from ldpopt.cli import _instance_priors
-from ldpopt.core import MAX_EPS
-from ldpopt.optsolve import (ORACLE_NEG_TOL, PIVOT_TOL, _difference_rows,
-                             _rr_inverse, _run_simplex)
+from ldpopt.core import MAX_EPS, pattern_index
+from ldpopt.optsolve import ORACLE_NEG_TOL, PIVOT_TOL, _lp_start, _run_simplex
 
 
 def _random_specs(rng, k):
@@ -399,7 +398,7 @@ class TestSolve:
             for spec in [*specs, L.information_preservation(p0)]:
                 for eps in (1e-6, 0.01, 0.5, 2.0, 8.0, 20.0, 30.0):
                     lp = L.build_lp(spec, eps)
-                    A, _ = _difference_rows(lp.pattern)
+                    A = _lp_start(k, eps)[0]
                     cost = lp.cost / (np.abs(lp.cost).max() or 1.0)
                     basis = list(L.solve(lp).basis)
                     y = np.linalg.solve(A[:, basis].T, cost[basis])
@@ -447,21 +446,20 @@ class TestSolve:
 
 class TestStartInverse:
     @pytest.mark.parametrize("k", range(2, 13))
-    def test_matches_inv(self, k):
-        # Every entry of the inverse is O(1), so 1e-14 is absolute.
-        basis = 1 << (k - 1 - np.arange(k))
+    def test_inverts_the_rr_basis(self, k):
+        # The start is the randomized-response basis, the one-bit patterns.
+        # Every entry of its inverse is O(1), so 1e-14 is absolute.
         for eps in (0.0, 1e-12, 1e-8, 0.5, 5.0, 30.0, 700.0, MAX_EPS):
-            A, scale = _difference_rows(L.pattern_matrix(k, eps))
-            np.testing.assert_allclose(_rr_inverse(k, 1.0 / scale[1]),
-                                       np.linalg.inv(A[:, basis]), rtol=0, atol=1e-14)
+            A, _, basis, Binv = _lp_start(k, eps)
+            np.testing.assert_array_equal(basis, pattern_index(np.eye(k)))
+            np.testing.assert_allclose(Binv @ A[:, basis], np.eye(k), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6, 8, 12])
     def test_solve_follows_the_inv_start(self, k):
-        # solve from the closed-form inverse reaches the value of the simplex
-        # started from np.linalg.inv of the basis, and for KL, chi^2 and MI
-        # by the same pivots to the same basis. TV's best reduced costs tie
-        # to the last bit, so which tied column enters follows the rounding
-        # of the start inverse: its path may differ, but not its optimum.
+        # solve starts from np.linalg.inv of the randomized-response basis,
+        # so it takes the simplex's pivots to its basis and value, for every
+        # utility. TV's best reduced costs tie to the last bit, so this pins
+        # solve's start inverse to the one the simplex is run from here.
         for i in range(2):
             rng = np.random.default_rng([53, k, i])
             p0 = L.make_distribution(rng.dirichlet(np.ones(k)))
@@ -470,14 +468,12 @@ class TestStartInverse:
             for spec in [*specs, L.information_preservation(p0)]:
                 for eps in (0.0, 0.01, 0.5, 2.0, 8.0, 30.0):
                     lp = L.build_lp(spec, eps)
-                    A, _ = _difference_rows(lp.pattern)
+                    A = _lp_start(k, eps)[0]
                     cost = lp.cost / (np.abs(lp.cost).max() or 1.0)
-                    basis = 1 << (k - 1 - np.arange(k))
+                    basis = pattern_index(np.eye(k))
                     pivots = _run_simplex(A, np.linalg.inv(A[:, basis]), basis, cost)
                     sol = L.solve(lp)
-                    if spec.kind is not L.TV:
-                        assert (sol.basis, sol.pivots) == (tuple(sorted(basis.tolist())),
-                                                           pivots)
+                    assert (sol.basis, sol.pivots) == (tuple(sorted(basis.tolist())), pivots)
                     mass = np.linalg.solve(A[:, basis], np.eye(k)[0])
                     assert sol.value == pytest.approx(lp.cost[basis] @ mass, rel=1e-15,
                                                       abs=1e-300)
@@ -528,7 +524,7 @@ class TestStartCache:
     def test_cached_arrays_are_read_only(self):
         start = optsolve._lp_start(6, 0.5)
         assert len(start) == 4
-        for arr in (*start, *_difference_rows(L.pattern_matrix(6, 0.5))):
+        for arr in start:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 0
         with pytest.raises(ValueError, match="read-only"):
@@ -669,7 +665,7 @@ class TestExtract:
                     Q = L.extract_mechanism(sol, lp)
                     assert Q.l <= k
                     assert L.is_locally_private(Q, eps)
-                    assert L.is_staircase(Q, eps, 1e-7)
+                    assert L.is_staircase(Q, eps)
                     assert L.utility(spec, Q) == pytest.approx(sol.value, abs=1e-9)
 
 
