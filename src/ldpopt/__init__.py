@@ -16,7 +16,7 @@ from .mechanisms import (PartitionSet, binary_ht, binary_mi, geometric,
                          ht_partition, mi_partition, quaternary,
                          randomized_response)
 from .optsolve import (DegenerateBasis, LPSolution, NumericalBreakdown, StaircaseLP,
-                       build_lp, extract_mechanism, solve, vertex_oracle)
+                       build_lp, build_lps, extract_mechanism, solve, vertex_oracle)
 from .regions import (TradeoffRegion, contains, operational_privacy_check,
                       region_eps_delta, region_from_marginals, tradeoff_region)
 from .bounds import (BoundReport, approximation_checks, binary_kl_closed,

@@ -52,7 +52,7 @@ def _named_value(spec: UtilitySpec, bits: np.ndarray, eps: float) -> float:
     response, `split_bits` for a split) from its `pattern_scores`."""
     exp_eps(eps)
     delta = math.expm1(eps)
-    return staircase_value(pattern_scores(spec, bits, delta), delta)
+    return float(staircase_value(pattern_scores(spec, bits, delta), delta))
 
 
 def binary_kl_closed(P0: Distribution, P1: Distribution, eps: float) -> float:

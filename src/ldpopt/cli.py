@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from .core import (MAX_EPS, MAX_LP_K, Distribution, Mechanism, effective_epsilon
 from .mechanisms import (binary_ht, binary_mi, geometric, ht_partition, mi_partition,
                          quaternary, randomized_response, split_bits, staircase_value)
 from .optsolve import (LP_CACHE_SIZE, DegenerateBasis, NumericalBreakdown,
-                       build_lp, extract_mechanism, solve)
+                       build_lp, build_lps, extract_mechanism, solve)
 from .regions import region_eps_delta, tradeoff_region
 from .utilities import (CHI2, KL, TV, AbsoluteContinuityViolated, f_divergence,
                         hypothesis_testing, information_preservation, utility)
@@ -95,7 +96,7 @@ class SweepConfig:
             raise ValueError(f"unknown utility {self.utility!r}")
         mechanisms = self.mechanisms
         if not (type(mechanisms) is tuple and mechanisms == SWEEP_MECHANISMS):
-            if (not isinstance(mechanisms, (list, tuple))
+            if (not isinstance(mechanisms, (list, tuple)) or not mechanisms
                     or not all(m in SWEEP_MECHANISMS for m in mechanisms)):
                 raise ValueError(f"mechanisms must be a list of names from "
                                  f"{SWEEP_MECHANISMS}, got {mechanisms!r}")
@@ -167,50 +168,51 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     Ratios are utility / LP-optimum; instances where the optimum is zero
     (eps = 0) count as ratio 1 since the gap is zero.
 
-    optimal is the LP optimum. rr and binary are staircases of the bit
-    matrices np.eye(k) and [1_T, 1_T^c], so each is `staircase_value` of the
-    LP costs at its columns. T is {x : P0(x) >= P1(x)}, or mi_partition's
-    split for mutual information, found once per instance. mixed is the
-    larger of binary and rr. geometric is scored by `utility` on one
-    mechanism per (k, eps), shared by every instance and every sweep.
+    An instance's LPs over the whole eps grid are scored in one pass
+    (`build_lps`). optimal is the LP optimum. rr and binary are staircases
+    of the bit matrices np.eye(k) and [1_T, 1_T^c], so each is
+    `staircase_value` of the LP costs at its columns, read for every eps at
+    once from the instance's cost grid. T is {x : P0(x) >= P1(x)}, or
+    mi_partition's split for mutual information, found once per instance.
+    mixed is the larger of binary and rr. geometric is scored by `utility`
+    on one mechanism per (k, eps), shared by every instance and every sweep.
     """
     k, wanted = cfg.k, set(cfg.mechanisms)
     geo = "geometric" in wanted
     rr_cols = pattern_index(np.eye(k))
+    delta = np.array([math.expm1(eps) for eps in cfg.eps_grid])
     rows = []
     for instance_id in range(cfg.num_instances):
         spec = _instance_priors(cfg, instance_id)
         split = (mi_partition(spec.p) if spec.objective == "mi"
                  else ht_partition(spec.p0, spec.p1))
         split_cols = pattern_index(split_bits(split, k))
-        for eps in cfg.eps_grid:
+        cost, lps = build_lps(spec, cfg.eps_grid)
+        binary = staircase_value(cost[:, split_cols], delta).tolist()
+        rr = staircase_value(cost[:, rr_cols], delta).tolist()
+        for lp, b, r in zip(lps, binary, rr):
+            eps = lp.eps
             try:
-                lp = build_lp(spec, eps)
-                sol = solve(lp)
+                opt = solve(lp).value
             except NumericalBreakdown as exc:
                 raise NumericalBreakdown(
                     f"utility={cfg.utility} k={k} eps={eps} seed={cfg.seed} "
                     f"instance_id={instance_id}: {exc}") from exc
-            opt, delta = sol.value, lp.pattern.delta
-            binary = staircase_value(lp.cost[split_cols], delta)
-            rr = staircase_value(lp.cost[rr_cols], delta)
-            values = {"binary": binary, "rr": rr, "mixed": max(binary, rr),
-                      "optimal": opt}
+            values = {"binary": b, "rr": r, "mixed": max(b, r), "optimal": opt}
             if geo and eps > 0:
                 values["geometric"] = utility(spec, _sweep_geometric(k, eps))
             for name in sorted(wanted & set(values)):
                 v = values[name]
                 ratio = v / opt if opt > ZERO_OPT else 1.0
                 rows.append(SweepRow(instance_id, eps, name, v, opt, ratio))
-    rows.sort(key=lambda r: (r.instance_id, r.eps, r.mechanism))
+    rows.sort(key=operator.attrgetter("instance_id", "eps", "mechanism"))
     return rows
 
 
 def sweep_csv(rows: list[SweepRow]) -> str:
     lines = ["instance_id,eps,mechanism,utility_value,opt_value,ratio"]
-    for r in rows:
-        lines.append(",".join([str(r.instance_id), _fmt(r.eps), r.mechanism,
-                               _fmt(r.utility_value), _fmt(r.opt_value), _fmt(r.ratio)]))
+    lines += [f"{r.instance_id},{r.eps:.12g},{r.mechanism},{r.utility_value:.12g},"
+              f"{r.opt_value:.12g},{r.ratio:.12g}" for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -223,7 +225,7 @@ def sweep_summary(rows: list[SweepRow]) -> str:
     lines = []
     for eps in sorted(by_eps):
         means = {m: math.fsum(v) / len(v) for m, v in sorted(by_eps[eps].items())}
-        body = "  ".join(f"{m}={_fmt(v)}" for m, v in means.items())
+        body = "  ".join([f"{m}={v:.12g}" for m, v in means.items()])
         lines.append(f"eps={_fmt(eps)}  mean ratio: {body}")
     mixed = [r.ratio for r in rows if r.mechanism == "mixed"]
     if mixed:

@@ -79,11 +79,14 @@ def _staircase(bits: np.ndarray, eps: float) -> Mechanism:
     return Mechanism(np.where(bits, e, 1.0) / (bits.shape[1] - 1 + e))
 
 
-def staircase_value(scores: np.ndarray, delta: float) -> float:
+def staircase_value(scores: np.ndarray, delta):
     """Utility of a staircase from the scores of its n unit-max pattern
     columns (1 + delta b_y) / (1 + delta): output y is column y times
-    (1 + delta) / (n + delta), and column scores are positively homogeneous."""
-    return float(scores.sum()) * ((1.0 + delta) / (scores.size + delta))
+    (1 + delta) / (n + delta), and column scores are positively homogeneous.
+    A 2-D array holds one staircase per row, with delta an array of one
+    delta per row, and gives an array of values."""
+    n = scores.shape[-1]
+    return scores.sum(axis=-1) * ((1.0 + delta) / (n + delta))
 
 
 def binary_ht(P0: Distribution, P1: Distribution, eps: float) -> Mechanism:

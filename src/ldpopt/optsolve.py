@@ -19,17 +19,20 @@ costs are divided by their largest entry, making PIVOT_TOL relative.
 
 S itself is never built here. The costs come from the prior masses on
 the eps-free bit matrix (`utilities.pattern_scores`), and they are the only
-part of the LP that depends on the priors. The bit-difference rows are
-cached per k and the rest of the prior-free part per (k, eps) (_lp_start),
-so solves at a repeated eps build none of it. The certificate and the
+part of the LP that depends on the priors; `build_lps` scores a whole eps
+grid from one set of masses, by the same cost rule as `build_lp`. The
+bit-difference rows are cached per k and the rest of the prior-free part
+per (k, eps) (_lp_start), so solves at a repeated eps build none of it. The certificate and the
 extraction build just the basis columns.
 The oracle solves its bases by Cramer's rule: in these rows a basis's
 row-0 cofactors are integer minors of the bit differences, so they and the
 basis's determinant, up to one eps-dependent term, are cached per k.
-The simplex keeps only the k x k inverse of its basis, so pricing all 2^k
-columns is the one O(k 2^k) product a pivot takes (Bertsimas and
-Tsitsiklis, Introduction to Linear Optimization, sec. 3.3); the rest of a
-pivot is a fixed number of small numpy calls on k-vectors. Pricing is
+The simplex keeps only the k x k inverse of its basis with the dual row
+y = c_B B^-1 under it, and moves y with the inverse's own row operations,
+as the zeroth row of a tableau moves (Bertsimas and Tsitsiklis,
+Introduction to Linear Optimization, sec. 3.3). Pricing all 2^k columns
+is then the one O(k 2^k) product a pivot takes; the rest of a pivot is a
+fixed number of small numpy calls on k-vectors. Pricing is
 Dantzig's rule (most improving reduced cost), falling back to Bland's rule
 after BLAND_AFTER degenerate pivots in a row, until a pivot makes progress
 again. Ties in the ratio test go to the basic column of lowest cost under
@@ -74,9 +77,12 @@ PIVOT_TOL = 1e-10
 # the rounding noise of y . A_j - c_j on the scaled rows: with |A| <= 1 and
 # |c| <= 1, the k-term dot product and the subtraction err by at most about
 # (k + 1) u (1 + |y|_1) (u = machine epsilon), and a factor of 4 covers the
-# rounding already in y and in the updated basis inverse. A stop at
-# PIVOT_TOL alone can end up to 7.6e-11 short of the TV optimum at
-# eps >= 22, where the last improving pivots gain less than it.
+# rounding already in y and in the updated basis inverse. y is carried
+# through the pivots' row operations, not recomputed, so it accumulates
+# their rounding as the inverse does; test_tv_large_eps_grid_reaches_closed_form
+# checks that the factor of 4 still covers it. A stop at PIVOT_TOL alone
+# can end up to 7.6e-11 short of the TV optimum at eps >= 22, where the
+# last improving pivots gain less than it.
 PRICING_NOISE = 4 * np.finfo(float).eps
 
 # solve's feasibility certificate on the original S. S theta holds the
@@ -135,16 +141,36 @@ class LPSolution:
     pivots: int = 0
 
 
+def _lp_costs(spec: UtilitySpec, delta):
+    """The LP costs at delta = e^eps - 1, read-only: a 2^k vector for a
+    float delta, or one row per entry of an m x 1 column of deltas."""
+    cost = pattern_scores(spec, _pattern_bits(spec.k), delta)
+    # Column 0 is all ones, its own unit-max form, and pattern_scores scored
+    # it over 1 + delta. Every preset scores it 0; a custom f scores f(1).
+    cost[..., :1] *= 1.0 + delta
+    cost.flags.writeable = False
+    return cost
+
+
 def build_lp(spec: UtilitySpec, eps: float) -> StaircaseLP:
     """Assemble the pattern-column LP for a utility spec at privacy level eps."""
     pat = pattern_matrix(spec.k, eps)
-    delta = pat.delta
-    cost = pattern_scores(spec, pat.bits, delta)
-    # Column 0 is all ones, its own unit-max form, and pattern_scores scored
-    # it over 1 + delta. Every preset scores it 0; a custom f scores f(1).
-    cost[0] *= 1.0 + delta
-    cost.flags.writeable = False
-    return StaircaseLP(k=spec.k, eps=eps, cost=cost, pattern=pat)
+    return StaircaseLP(k=spec.k, eps=eps, cost=_lp_costs(spec, pat.delta), pattern=pat)
+
+
+def build_lps(spec: UtilitySpec, eps_grid) -> tuple[np.ndarray, list[StaircaseLP]]:
+    """The LPs of `build_lp` at each eps of eps_grid, scored in one pass.
+
+    Returns the read-only len(eps_grid) x 2^k cost grid and one LP per eps,
+    whose cost is its row of the grid, bit for bit the cost `build_lp`
+    gives. The prior masses on the bit matrix are computed once, for every
+    eps.
+    """
+    k = spec.k
+    pats = [pattern_matrix(k, eps) for eps in eps_grid]
+    cost = _lp_costs(spec, np.array([pat.delta for pat in pats])[:, None])
+    return cost, [StaircaseLP(k=k, eps=pat.eps, cost=row, pattern=pat)
+                  for pat, row in zip(pats, cost)]
 
 
 def _pricing_noise(y: np.ndarray) -> float:
@@ -155,65 +181,78 @@ def _pricing_noise(y: np.ndarray) -> float:
 
 def _run_simplex(A: np.ndarray, Binv: np.ndarray, basis: np.ndarray,
                  cost: np.ndarray) -> int:
-    """Revised primal simplex on A theta = e_0; returns the pivot count.
+    """Revised primal simplex on A theta = e_0; returns the pivot count and
+    leaves the final basis in `basis`.
 
-    Binv is the inverse of the basis columns A[:, basis]; each pivot prices
-    every column through it and updates it in place by the pivot's row
-    operations, so the basic solution is always Binv[:, 0]. Entering: the
-    column with the most improving reduced cost (Dantzig), or, once
-    BLAND_AFTER pivots in a row have been degenerate, the lowest-index
-    improving column (Bland) until a pivot moves the solution. A reduced
-    cost improves when it is below -PIVOT_TOL or below the rounding noise
-    -PRICING_NOISE * k * (1 + |y|_1); the noise is computed only when the
-    Dantzig minimum is above -PIVOT_TOL, and in Bland mode. Leaving: among
-    minimum-ratio rows, Dantzig mode takes the one whose basic variable has
-    the lowest cost, then the lowest index, which steers degenerate pivots
-    out of the columns that score least; Bland mode takes the lowest-index
-    basic variable. The feasible region is a bounded polytope, so an
-    entering column with no admissible row is numerical breakdown.
+    Binv is the inverse of the basis columns A[:, basis] and is only read.
+    The simplex works on one (k + 1) x k array G: the basis inverse on top
+    and the duals y = c_B B^-1 as its last row, so the basic solution is
+    G[:k, 0] and pricing every column is y . A - c. A pivot on column j
+    computes d = G A_j, sets d[k] to j's reduced cost and applies one
+    rank-1 row operation to G, which moves the inverse and y together, as
+    the zeroth row of a tableau moves (Bertsimas and Tsitsiklis, sec. 3.3).
+    Entering: the column with the most improving reduced cost (Dantzig),
+    or, once BLAND_AFTER pivots in a row have been degenerate, the
+    lowest-index improving column (Bland) until a pivot moves the solution.
+    A reduced cost improves when it is below -PIVOT_TOL or below the
+    rounding noise -PRICING_NOISE * k * (1 + |y|_1); the noise is computed
+    only when the Dantzig minimum is above -PIVOT_TOL, and in Bland mode.
+    Leaving: among minimum-ratio rows, Dantzig mode takes the one whose
+    basic variable has the lowest cost, then the lowest index, which steers
+    degenerate pivots out of the columns that score least; Bland mode takes
+    the lowest-index basic variable. The feasible region is a bounded
+    polytope, so an entering column with no admissible row is numerical
+    breakdown.
 
-    The pricing product writes into one buffer, the basic costs are kept
-    in step with the basis, and the k-row ratio test runs on Python floats.
+    The pricing product writes into one buffer, the basic costs and indices
+    are Python lists kept in step with the basis, and the k-row ratio test
+    runs on Python floats.
     """
     k = basis.size
-    basic_cost = cost[basis]
-    y = np.empty(k)
+    G = np.empty((k + 1, k))
+    G[:k] = Binv
+    np.dot(cost[basis], Binv, out=G[k])
+    y = G[k]
+    index, basic_cost = basis.tolist(), cost[basis].tolist()
     reduced = np.empty(cost.size)
-    outer = np.empty((k, k))
+    outer = np.empty((k + 1, k))
     degenerate = 0
     for pivots in range(MAX_ITERATIONS):
-        np.dot(basic_cost, Binv, out=y)
         np.dot(y, A, out=reduced)
         reduced -= cost
         if degenerate >= BLAND_AFTER:
             candidates = np.flatnonzero(reduced < -_pricing_noise(y))
             if candidates.size == 0:
-                return pivots
+                break
             j = int(candidates[0])
         else:
             j = int(reduced.argmin())
             if reduced[j] >= -PIVOT_TOL and reduced[j] >= -_pricing_noise(y):
-                return pivots
-        d = Binv @ A[:, j]
-        step, x = d.tolist(), Binv[:, 0].tolist()
+                break
+        d = G @ A[:, j]
+        d[k] = reduced[j]
+        step, x = d.tolist(), G[:, 0].tolist()
         rows = [i for i in range(k) if step[i] > PIVOT_TOL]
         if not rows:
             raise NumericalBreakdown("no admissible pivot in a bounded LP")
         ratios = [x[i] / step[i] for i in rows]
         rmin = min(ratios)
         cut = rmin + 1e-12 * max(1.0, abs(rmin))
-        tied = (i for i, q in zip(rows, ratios) if q <= cut)
         if degenerate >= BLAND_AFTER:
-            r = min(tied, key=basis.__getitem__)
+            r = min([i for i, q in zip(rows, ratios) if q <= cut], key=index.__getitem__)
         else:
-            r = min(tied, key=lambda i: (basic_cost[i], basis[i]))
-        Binv[r] /= step[r]
+            r = min([(basic_cost[i], index[i], i)
+                     for i, q in zip(rows, ratios) if q <= cut])[2]
+        G[r] /= step[r]
         d[r] = 0.0
-        Binv -= np.multiply(d[:, None], Binv[r], out=outer)
-        basis[r] = j
-        basic_cost[r] = cost[j]
+        G -= np.multiply(d[:, None], G[r], out=outer)
+        index[r] = j
+        basic_cost[r] = float(cost[j])
         degenerate = degenerate + 1 if rmin <= DEGENERATE_STEP else 0
-    raise NumericalBreakdown("simplex iteration limit reached")
+    else:
+        raise NumericalBreakdown("simplex iteration limit reached")
+    basis[:] = index
+    return pivots
 
 
 @functools.cache
@@ -236,8 +275,8 @@ def _lp_start(k: int, eps: float) -> tuple[np.ndarray, ...]:
     pattern matrix over s. Only solve uses these rows; the vertex oracle
     needs just the bit differences. The randomized-response basis is the
     one-bit patterns; its condition number is at most 13 (k <= 12), so an
-    explicit inverse is accurate. solve copies the basis and its inverse,
-    which the simplex updates.
+    explicit inverse is accurate. solve copies the basis, which the
+    simplex updates; the simplex only reads the inverse.
     """
     delta = PatternMatrix(k, eps).delta
     scale = np.full(2**k, delta + 1.0)
@@ -267,11 +306,10 @@ def solve(lp: StaircaseLP) -> LPSolution:
     rhs[0] = 1.0
 
     basis = start.copy()
-    Binv = start_inv.copy()
     top = float(np.abs(lp.cost).max())
     if not math.isfinite(top):
         raise NumericalBreakdown("a column score is not finite at this eps")
-    pivots = _run_simplex(A, Binv, basis, lp.cost / (top or 1.0))
+    pivots = _run_simplex(A, start_inv, basis, lp.cost / (top or 1.0))
 
     mass = np.linalg.solve(A[:, basis], rhs)
     basic = mass / scale[basis]
@@ -282,7 +320,7 @@ def solve(lp: StaircaseLP) -> LPSolution:
     theta[basis] = basic
     theta.flags.writeable = False
     return LPSolution(theta=theta, value=float(lp.cost[basis] @ mass),
-                      basis=tuple(sorted(int(j) for j in basis)), pivots=pivots)
+                      basis=tuple(sorted(basis.tolist())), pivots=pivots)
 
 
 def extract_mechanism(sol: LPSolution, lp: StaircaseLP) -> Mechanism:

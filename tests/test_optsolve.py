@@ -97,6 +97,35 @@ class TestBuildLP:
                 assert np.isfinite(got).all()
                 assert (np.abs(got - want) <= 4 * (k + 5) * u * weight).all()
 
+    @pytest.mark.parametrize("k", [2, 6, 12])
+    def test_grid_rows_match_one_eps_builds(self, k):
+        # build_lps scores the grid with a column of deltas and build_lp
+        # with one float; the same cost rule must give the same bits.
+        grid = (0.0, 1e-12, 1e-6, 0.5, 8.0, 30.0, MAX_EPS)
+        specs = _random_specs(np.random.default_rng([19, k]), k)
+        for spec in (*specs, L.hypothesis_testing(L.CHI2, specs[0].p0, specs[0].p1)):
+            cost, lps = L.build_lps(spec, grid)
+            assert cost.shape == (len(grid), 2**k) and not cost.flags.writeable
+            for row, lp, eps in zip(cost, lps, grid):
+                assert lp.eps == eps and lp.pattern.eps == eps
+                assert np.array_equal(lp.cost, row)
+                assert L.build_lp(spec, eps).cost.tobytes() == row.tobytes()
+
+    def test_one_eps_build_spot_checks_custom_kinds(self, monkeypatch):
+        checked = []
+        spot_check = L.utilities._spot_check_convexity
+        monkeypatch.setattr(L.utilities, "_spot_check_convexity",
+                            lambda f, ratios: checked.append(ratios) or spot_check(f, ratios))
+        spec = L.hypothesis_testing(L.custom(lambda x: (x - 1.0) ** 2),
+                                    L.make_distribution([0.6, 0.4]),
+                                    L.make_distribution([0.4, 0.6]))
+        for eps in (0.5, 1.0, 2.0):
+            L.build_lp(spec, eps)
+        assert len(checked) == 3
+        bad = L.hypothesis_testing(L.custom(lambda x: -((x - 1.0) ** 2)), spec.p0, spec.p1)
+        with pytest.raises(L.ConvexityViolation):
+            L.build_lps(bad, (0.5, 1.0))
+
     def test_lp_leaves_the_matrix_unbuilt(self):
         rng = np.random.default_rng([18, 12])
         p0 = L.make_distribution(rng.dirichlet(np.ones(12)))
@@ -477,6 +506,80 @@ class TestStartInverse:
                     mass = np.linalg.solve(A[:, basis], np.eye(k)[0])
                     assert sol.value == pytest.approx(lp.cost[basis] @ mass, rel=1e-15,
                                                       abs=1e-300)
+
+
+def _reference_simplex(A, Binv, basis, cost):
+    """_run_simplex's entering, leaving and stop rules, with the duals
+    recomputed as c_B B^-1 at every pivot instead of carried in the basis
+    inverse. Returns the final basis and the pivot count."""
+    Binv, basis = Binv.copy(), basis.copy()
+    k = basis.size
+    degenerate = 0
+    for pivots in range(optsolve.MAX_ITERATIONS):
+        y = cost[basis] @ Binv
+        reduced = y @ A - cost
+        noise = optsolve.PRICING_NOISE * k * (1.0 + sum(map(abs, y.tolist())))
+        bland = degenerate >= optsolve.BLAND_AFTER
+        if bland:
+            candidates = np.flatnonzero(reduced < -noise)
+            if candidates.size == 0:
+                return basis, pivots
+            j = candidates[0]
+        else:
+            j = reduced.argmin()
+            if reduced[j] >= -PIVOT_TOL and reduced[j] >= -noise:
+                return basis, pivots
+        d = Binv @ A[:, j]
+        rows = np.flatnonzero(d > PIVOT_TOL)
+        ratios = Binv[rows, 0] / d[rows]
+        rmin = ratios.min()
+        tied = rows[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]
+        if bland:
+            r = min(tied, key=lambda i: basis[i])
+        else:
+            r = min(tied, key=lambda i: (cost[basis[i]], basis[i]))
+        Binv[r] /= d[r]
+        Binv -= np.outer(np.where(np.arange(k) == r, 0.0, d), Binv[r])
+        basis[r] = j
+        degenerate = degenerate + 1 if rmin <= optsolve.DEGENERATE_STEP else 0
+    raise AssertionError("reference simplex iteration limit reached")
+
+
+class TestCarriedDuals:
+    """_run_simplex moves its duals with the basis inverse's row operations;
+    a reference that recomputes them every pivot pins the pivot rules."""
+
+    @pytest.mark.parametrize("k", [3, 6, 12])
+    def test_matches_recomputed_duals(self, k):
+        # KL, chi-squared and MI take the reference's pivots to its basis.
+        # TV's best reduced costs tie to the last bit, so the duals' rounding
+        # can pick another optimal path; its value must agree.
+        for i in range(2):
+            rng = np.random.default_rng([71, k, i])
+            p0 = L.make_distribution(rng.dirichlet(np.ones(k)))
+            p1 = L.make_distribution(rng.dirichlet(np.ones(k)))
+            specs = [L.hypothesis_testing(kind, p0, p1) for kind in (L.KL, L.TV, L.CHI2)]
+            for spec in [*specs, L.information_preservation(p0)]:
+                for eps in (0.01, 0.5, 2.0, 8.0, 30.0):
+                    lp = L.build_lp(spec, eps)
+                    A, _, start, start_inv = _lp_start(k, eps)
+                    cost = lp.cost / np.abs(lp.cost).max()
+                    basis, pivots = _reference_simplex(A, start_inv, start, cost)
+                    sol = L.solve(lp)
+                    if spec.kind is L.TV:
+                        mass = np.linalg.solve(A[:, basis], np.eye(k)[0])
+                        assert sol.value == pytest.approx(lp.cost[basis] @ mass, rel=1e-15)
+                    else:
+                        assert (sol.basis, sol.pivots) == (tuple(sorted(basis.tolist())),
+                                                           pivots)
+
+    def test_reads_the_start_inverse_only(self):
+        A, _, start, start_inv = _lp_start(6, 0.5)
+        Binv, basis = np.array(start_inv), start.copy()
+        cost = np.random.default_rng(72).random(A.shape[1])
+        pivots = _run_simplex(A, Binv, basis, cost)
+        assert pivots > 0
+        np.testing.assert_array_equal(Binv, start_inv)
 
 
 class TestStartCache:
