@@ -20,9 +20,9 @@ from .optsolve import (DegenerateBasis, LPSolution, NumericalBreakdown, Staircas
 from .regions import (TradeoffRegion, contains, operational_privacy_check,
                       region_eps_delta, region_from_marginals, tradeoff_region)
 from .bounds import (BoundReport, approximation_checks, binary_kl_closed,
-                     binary_mi_closed, binary_tv_closed, converse_suite, g_correction,
-                     kl_residual_scale, marginal_ratio_bounds, mi_converse_suite,
-                     mi_residual_scale, rr_kl_closed, rr_mi_closed)
+                     binary_mi_closed, binary_tv_closed, converse_suite,
+                     marginal_ratio_bounds, mi_converse_suite, rr_kl_closed,
+                     rr_mi_closed)
 from .cli import (ExponentReport, SweepConfig, SweepRow, run_exponent_sim,
                   run_sweep, sweep_csv, sweep_summary)
 

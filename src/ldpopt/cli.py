@@ -267,14 +267,19 @@ def run_exponent_sim(P0: Distribution, P1: Distribution, Q: Mechanism,
     w[finite] = np.log(a[finite] / b[finite])
     w[(a > 0) & (b == 0)] = math.inf  # never drawn under M1
 
+    try:
+        kl_rate = f_divergence(KL, m0, m1)
+    except AbsoluteContinuityViolated:
+        kl_rate = math.inf
+
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, a, size=trials)
-    terms = np.where(counts > 0, counts * w[None, :], 0.0)
-    llr = terms.sum(axis=1)
+    # Undrawn outputs add 0 even where w = inf; an infinite LLR weighs e^-inf = 0.
+    llr = np.multiply(counts, w, out=np.zeros(counts.shape), where=counts > 0).sum(axis=1)
     t = float(np.quantile(llr, alpha_star, method="lower"))
-    accepted = llr[llr >= t]
+    accepted = llr[(llr >= t) & (llr < math.inf)]
     if accepted.size == 0:
-        return ExponentReport(exponent=math.inf, kl_rate=0.0, beta=0.0)
+        return ExponentReport(exponent=math.inf, kl_rate=kl_rate, beta=0.0)
     # beta is typically exp(-n * rate), far below float range, so the
     # importance-sampling mean of exp(-LLR) is taken in log space.
     top = float((-accepted).max())
@@ -283,10 +288,6 @@ def run_exponent_sim(P0: Distribution, P1: Distribution, Q: Mechanism,
     # log_beta is exactly 0 when every accepted LLR is 0 (identical
     # marginals); -0.0 / n would print as -0.
     exponent = -log_beta / n if log_beta else 0.0
-    try:
-        kl_rate = f_divergence(KL, m0, m1)
-    except AbsoluteContinuityViolated:
-        kl_rate = math.inf
     return ExponentReport(exponent=exponent, kl_rate=kl_rate, beta=beta)
 
 

@@ -20,10 +20,10 @@ costs are divided by their largest entry, making PIVOT_TOL relative.
 S itself is never built here. The costs come from the prior masses on
 the eps-free bit matrix (`utilities.pattern_scores`), and they are the only
 part of the LP that depends on the priors; `build_lps` scores a whole eps
-grid from one set of masses, by the same cost rule as `build_lp`. The
+grid from one set of masses, and `build_lp` is its one-eps case. The
 bit-difference rows are cached per k and the rest of the prior-free part
-per (k, eps) (_lp_start), so solves at a repeated eps build none of it. The certificate and the
-extraction build just the basis columns.
+per (k, eps) (_lp_start), so solves at a repeated eps build none of it.
+The certificate and the extraction build just the basis columns.
 The oracle solves its bases by Cramer's rule: in these rows a basis's
 row-0 cofactors are integer minors of the bit differences, so they and the
 basis's determinant, up to one eps-dependent term, are cached per k.
@@ -141,36 +141,28 @@ class LPSolution:
     pivots: int = 0
 
 
-def _lp_costs(spec: UtilitySpec, delta):
-    """The LP costs at delta = e^eps - 1, read-only: a 2^k vector for a
-    float delta, or one row per entry of an m x 1 column of deltas."""
-    cost = pattern_scores(spec, _pattern_bits(spec.k), delta)
-    # Column 0 is all ones, its own unit-max form, and pattern_scores scored
-    # it over 1 + delta. Every preset scores it 0; a custom f scores f(1).
-    cost[..., :1] *= 1.0 + delta
-    cost.flags.writeable = False
-    return cost
-
-
-def build_lp(spec: UtilitySpec, eps: float) -> StaircaseLP:
-    """Assemble the pattern-column LP for a utility spec at privacy level eps."""
-    pat = pattern_matrix(spec.k, eps)
-    return StaircaseLP(k=spec.k, eps=eps, cost=_lp_costs(spec, pat.delta), pattern=pat)
-
-
 def build_lps(spec: UtilitySpec, eps_grid) -> tuple[np.ndarray, list[StaircaseLP]]:
-    """The LPs of `build_lp` at each eps of eps_grid, scored in one pass.
+    """The pattern-column LPs of a utility spec at each eps of eps_grid.
 
     Returns the read-only len(eps_grid) x 2^k cost grid and one LP per eps,
-    whose cost is its row of the grid, bit for bit the cost `build_lp`
-    gives. The prior masses on the bit matrix are computed once, for every
-    eps.
+    whose cost is its row of the grid. The prior masses on the bit matrix
+    are computed once, for every eps.
     """
     k = spec.k
     pats = [pattern_matrix(k, eps) for eps in eps_grid]
-    cost = _lp_costs(spec, np.array([pat.delta for pat in pats])[:, None])
+    delta = np.array([pat.delta for pat in pats])[:, None]
+    cost = pattern_scores(spec, _pattern_bits(k), delta)
+    # Column 0 is all ones, its own unit-max form, and pattern_scores scored
+    # it over 1 + delta. Every preset scores it 0; a custom f scores f(1).
+    cost[:, :1] *= 1.0 + delta
+    cost.flags.writeable = False
     return cost, [StaircaseLP(k=k, eps=pat.eps, cost=row, pattern=pat)
                   for pat, row in zip(pats, cost)]
+
+
+def build_lp(spec: UtilitySpec, eps: float) -> StaircaseLP:
+    """The LP of `build_lps` at one privacy level eps."""
+    return build_lps(spec, (eps,))[1][0]
 
 
 def _pricing_noise(y: np.ndarray) -> float:
@@ -326,19 +318,20 @@ def solve(lp: StaircaseLP) -> LPSolution:
 def extract_mechanism(sol: LPSolution, lp: StaircaseLP) -> Mechanism:
     """Materialize the optimal mechanism from the solved LP.
 
-    Keeps the basis columns whose mass theta_j * s_j (s_j the column's
-    largest entry) exceeds EXTRACT_TOL and weights them by theta. Two
+    Weights the basis columns by theta and keeps those whose largest entry,
+    the mass theta_j * s_j, exceeds EXTRACT_TOL. Two
     distinct {1, e^eps} columns are proportional only when both are
     constant (the all-ones and all-e^eps patterns, or every pattern at
     eps = 0), so the kept constant columns are summed into one output.
     Rows are then normalized exactly.
     """
     basis = np.array(sol.basis, dtype=int)
-    keep = basis[sol.theta[basis] * lp.pattern.column(basis).max(axis=0) > EXTRACT_TOL]
-    if keep.size == 0:
+    pat = lp.pattern.column(basis)
+    cols = pat * sol.theta[basis]
+    kept = cols.max(axis=0) > EXTRACT_TOL
+    if not kept.any():
         raise DegenerateBasis("no basis column carries mass above EXTRACT_TOL")
-    pat = lp.pattern.column(keep)
-    cols = pat * sol.theta[keep]
+    pat, cols = pat[:, kept], cols[:, kept]
     const = pat.min(axis=0) == pat.max(axis=0)
     if const.any():
         cols = np.column_stack([cols[:, ~const], cols[:, const].sum(axis=1)])

@@ -226,6 +226,58 @@ class TestConverseSuite:
                 p, L.randomized_response(k, 10.0), 10.0)}
             assert mi_reports["rr-mi-low-privacy-residual"].satisfied
 
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_expansion_terms_follow_their_formulas(self, k):
+        # The expansion reports hold, bit for bit, the documented terms:
+        # g = sum (1 - P0) log(P1 / P0), the KL residual scale
+        # (k - 1) KL(P0||P1) + sum P0 / P1 - k, the MI residual scale
+        # (k - 1) + sum log P + k H(P), and the binary leads.
+        rng = np.random.default_rng([52, k])
+        for p0, p1 in _priors(rng, k, n=4):
+            p = p0
+            kl, tv = L.f_divergence(L.KL, p0, p1), L.f_divergence(L.TV, p0, p1)
+            g = float(((1 - p0.probs) * np.log(p1.probs / p0.probs)).sum())
+            kl_scale = (k - 1) * kl + float((p0.probs / p1.probs).sum()) - k
+            h = L.entropy(p)
+            mi_scale = (k - 1) + float(np.log(p.probs).sum()) + k * h
+            t = L.mi_partition(p).mass
+            for eps in (0.0, 0.01, 1.0, 10.0, 30.0):
+                e, tail = math.exp(eps), math.exp(-eps)
+                kl_lead = (e - 1) * ((e - 1) / (e + 1)) * tv**2
+                mi_lead = 0.5 * t * (1 - t) * eps**2
+                want = {
+                    "rr-kl-low-privacy-residual": (
+                        abs(L.rr_kl_closed(p0, p1, eps) - (kl - g * tail)),
+                        10.0 * max(1.0, abs(kl_scale)) * tail),
+                    "rr-mi-low-privacy-residual": (
+                        abs(L.rr_mi_closed(p, eps) - (h - (k - 1) * eps * tail)),
+                        10.0 * max(1.0, abs(mi_scale)) * tail),
+                }
+                if kl_lead > 0:
+                    want["binary-kl-expansion-ratio"] = (
+                        abs(L.binary_kl_closed(p0, p1, eps) / kl_lead - 1.0), 0.05)
+                if mi_lead > 0:
+                    want["binary-mi-expansion-ratio"] = (
+                        abs(L.binary_mi_closed(p, eps) / mi_lead - 1.0), 0.05)
+                for Q, Qp in ((L.randomized_response(k, eps),) * 2,
+                              (L.binary_ht(p0, p1, eps), L.binary_mi(p, eps))):
+                    got = {r.name: (r.lhs, r.rhs)
+                           for r in [*L.converse_suite(p0, p1, Q, eps),
+                                     *L.mi_converse_suite(p, Qp, eps)]}
+                    assert {name: got[name] for name in want} == want
+                    assert ("binary-kl-expansion-ratio" in got) == (kl_lead > 0)
+                    assert ("binary-mi-expansion-ratio" in got) == (mi_lead > 0)
+                spec = L.hypothesis_testing(L.KL, p0, p1)
+                opt = L.solve(L.build_lp(spec, eps)).value
+                report = L.approximation_checks(spec, eps)
+                assert (report.lhs, report.rhs) == (opt / (e + 1) / (e + 1) / 2.0,
+                                                    L.binary_kl_closed(p0, p1, eps))
+                spec = L.information_preservation(p)
+                opt = L.solve(L.build_lp(spec, eps)).value
+                report = L.approximation_checks(spec, eps)
+                assert (report.lhs, report.rhs) == (opt / (1.0 + e),
+                                                    L.binary_mi_closed(p, eps))
+
     def test_mi_entropy_bound(self):
         rng = np.random.default_rng(49)
         p = L.make_distribution(rng.dirichlet(np.ones(4)))

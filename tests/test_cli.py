@@ -529,6 +529,27 @@ class TestExponentCommand:
         # printed without a sign.
         assert out.splitlines()[0] == "exponent_estimate=0"
 
+    def _identity_run(self, tmp_path, capsys, p0, n):
+        mech = tmp_path / "eye.json"
+        mech.write_text(L.mechanism_to_json(L.Mechanism(np.eye(2))))
+        code = main(["exponent", "--p0", p0, "--p1", "1,0", "--mech", str(mech),
+                     "--n", str(n), "--seed", "0"])
+        assert code == 0
+        return capsys.readouterr().out.splitlines()
+
+    def test_output_without_m1_mass_is_never_accepted(self, tmp_path, capsys):
+        # Output 1 has M0 mass and no M1 mass, so its LLR is +inf and its
+        # importance weight 0; every sample draws it, so beta is 0.
+        lines = self._identity_run(tmp_path, capsys, "0.5,0.5", 5000)
+        assert lines == ["exponent_estimate=inf", "kl_rate=inf", "beta_estimate=0"]
+
+    def test_undrawn_infinite_ratio_adds_nothing(self, tmp_path, capsys):
+        # Samples that never draw output 1 have finite LLRs; w = +inf there
+        # must not enter them as 0 * inf.
+        lines = self._identity_run(tmp_path, capsys, "0.999,0.001", 1000)
+        assert lines == ["exponent_estimate=0.000138933949605", "kl_rate=inf",
+                         "beta_estimate=0.870285509262"]
+
     def test_eps0_mechanism_zero_exponent(self):
         P0 = L.make_distribution([0.8, 0.2])
         P1 = L.make_distribution([0.2, 0.8])

@@ -99,8 +99,8 @@ class TestBuildLP:
 
     @pytest.mark.parametrize("k", [2, 6, 12])
     def test_grid_rows_match_one_eps_builds(self, k):
-        # build_lps scores the grid with a column of deltas and build_lp
-        # with one float; the same cost rule must give the same bits.
+        # build_lp is build_lps on a one-eps grid: scoring a longer grid in
+        # one pass must give each row the bits of its one-eps build.
         grid = (0.0, 1e-12, 1e-6, 0.5, 8.0, 30.0, MAX_EPS)
         specs = _random_specs(np.random.default_rng([19, k]), k)
         for spec in (*specs, L.hypothesis_testing(L.CHI2, specs[0].p0, specs[0].p1)):
