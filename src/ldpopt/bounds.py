@@ -4,8 +4,7 @@ These are the analytic oracles the LP solver and the direct evaluators are
 cross-checked against: exact divergences of the two-output and randomized
 response mechanisms, the universal upper bounds (Pinsker, the
 4(e^eps-1)^2 TV^2 bound), per-output marginal-ratio bounds, and the high-
-and low-privacy expansion checks. The suites build their spec, split and
-KL(P0||P1) once and read the named values off them (`_named_value`).
+and low-privacy expansion checks.
 """
 
 from __future__ import annotations
@@ -103,7 +102,6 @@ def converse_suite(P0: Distribution, P1: Distribution, Q: Mechanism,
     kl10 = f_divergence(KL, M1, M0)
     tv_m = f_divergence(TV, M0, M1)
     tv_p = f_divergence(TV, P0, P1)
-    spec, k, p0, p1 = hypothesis_testing(KL, P0, P1), P0.k, P0.probs, P1.probs
 
     # No float power of e^eps: (e - 1) ** 2 raises OverflowError past
     # eps = 354.9, while a product that overflows is inf, the true size of a
@@ -115,11 +113,12 @@ def converse_suite(P0: Distribution, P1: Distribution, Q: Mechanism,
         BoundReport("symmetrized-kl-high-privacy", kl01 + kl10, 2.0 * lead),
     ]
     if lead > 0:
-        ratio = _named_value(spec, split_bits(ht_partition(P0, P1), k), eps) / lead
+        ratio = binary_kl_closed(P0, P1, eps) / lead
         reports.append(BoundReport("binary-kl-expansion-ratio", abs(ratio - 1.0), 0.05))
+    k, p0, p1 = P0.k, P0.probs, P1.probs
     kl = f_divergence(KL, P0, P1)
     g = float(((1 - p0) * np.log(p1 / p0)).sum())
-    resid = abs(_named_value(spec, np.eye(k), eps) - (kl - g * math.exp(-eps)))
+    resid = abs(rr_kl_closed(P0, P1, eps) - (kl - g * math.exp(-eps)))
     tail = (k - 1) * kl + float((p0 / p1).sum()) - k
     reports.append(BoundReport("rr-kl-low-privacy-residual", resid,
                                10.0 * max(1.0, abs(tail)) * math.exp(-eps)))
@@ -132,25 +131,26 @@ def mi_converse_suite(P: Distribution, Q: Mechanism, eps: float) -> list[BoundRe
     The low-privacy residual is randomized response's MI less H(P) - (k-1)
     eps e^(-eps), against the e^(-eps) coefficient left, (k-1) + sum log P + k H(P).
     """
-    spec = information_preservation(P)
+    if not P.is_positive:
+        raise ValueError("prior must be positive")
     if P.k != Q.k:
         raise DimensionMismatch("prior and mechanism disagree on k")
     exp_eps(eps)
     mi = mutual_information(P, Q)
     h = entropy(P)
-    split, k = mi_partition(P), P.k
-    lead = 0.5 * split.mass * (1 - split.mass) * eps**2
-    low = h - (k - 1) * eps * math.exp(-eps)
+    t = mi_partition(P).mass
+    lead = 0.5 * t * (1 - t) * eps**2
+    low = h - (P.k - 1) * eps * math.exp(-eps)
     reports = [
         BoundReport("mi-vs-entropy", mi, h),
         BoundReport("mi-high-privacy", mi, lead),
         BoundReport("mi-low-privacy", mi, low),
     ]
     if lead > 0:
-        ratio = _named_value(spec, split_bits(split, k), eps) / lead
+        ratio = binary_mi_closed(P, eps) / lead
         reports.append(BoundReport("binary-mi-expansion-ratio", abs(ratio - 1.0), 0.05))
-    resid = abs(_named_value(spec, np.eye(k), eps) - low)
-    tail = (k - 1) + float(np.log(P.probs).sum()) + k * h
+    resid = abs(rr_mi_closed(P, eps) - low)
+    tail = (P.k - 1) + float(np.log(P.probs).sum()) + P.k * h
     reports.append(BoundReport("rr-mi-low-privacy-residual", resid,
                                10.0 * max(1.0, abs(tail)) * math.exp(-eps)))
     return reports
@@ -166,11 +166,11 @@ def approximation_checks(spec: UtilitySpec, eps: float) -> BoundReport:
     e = exp_eps(eps)
     opt = solve(build_lp(spec, eps)).value
     if spec.objective == "mi":
-        bin_value = _named_value(spec, split_bits(mi_partition(spec.p), spec.k), eps)
+        bin_value = binary_mi_closed(spec.p, eps)
         return BoundReport("binary-mi-approximation", opt / (1.0 + e), bin_value)
     if spec.kind.tag != "kl":
         raise ValueError("approximation guarantee is stated for KL and MI only")
-    bin_value = _named_value(spec, split_bits(ht_partition(spec.p0, spec.p1), spec.k), eps)
+    bin_value = binary_kl_closed(spec.p0, spec.p1, eps)
     return BoundReport("binary-kl-approximation", opt / (e + 1) / (e + 1) / 2.0, bin_value)
 
 

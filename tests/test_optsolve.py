@@ -111,6 +111,31 @@ class TestBuildLP:
                 assert np.array_equal(lp.cost, row)
                 assert L.build_lp(spec, eps).cost.tobytes() == row.tobytes()
 
+    # build_lp's costs at k = 2 as recorded when it still scored one eps
+    # with a float delta, down to the rounding in the constant columns.
+    RECORDED_K2_COSTS = {
+        ("kl", 1e-06): ('0x0.0p+0', '-0x1.0c6f6cd9ac17dp-21', '0x1.0c6f75a5788e9p-21', '-0x1.0c6f713f92496p-74'),
+        ("kl", 0.5): ('0x0.0p+0', '-0x1.6474b782fc619p-3', '0x1.c7e58fef53d5dp-3', '-0x1.92e9a0720d3ecp-56'),
+        ("kl", 8.0): ('0x0.0p+0', '-0x1.2d54f28024fc1p-2', '0x1.c0a02b82b361ep-1', '-0x1.ffd407bdf7dfbp-55'),
+        ("tv", 1e-06): ('0x0.0p+0', '0x1.0c6f713f92496p-22', '0x1.0c6f713f92495p-22', '0x1.0c6f713f92496p-75'),
+        ("tv", 0.5): ('0x0.0p+0', '0x1.92e9a0720d3ecp-4', '0x1.92e9a0720d3ebp-4', '0x1.92e9a0720d3ecp-57'),
+        ("tv", 8.0): ('0x0.0p+0', '0x1.ffd407bdf7dfbp-3', '0x1.ffd407bdf7dfap-3', '0x1.ffd407bdf7dfbp-56'),
+        ("chi2", 1e-06): ('0x0.0p+0', '0x1.19798950fa5d3p-42', '0x1.19799462657e2p-42', '0x1.197985a08183bp-148'),
+        ("chi2", 0.5): ('0x0.0p+0', '0x1.582666f89835cp-5', '0x1.ceb87a1325f86p-5', '0x1.3d11488dd2e20p-111'),
+        ("chi2", 8.0): ('0x0.0p+0', '0x1.3fc22e9313c11p-2', '0x1.3f5b57f45b227p+0', '0x1.ffa813429b36cp-109'),
+        ("mi", 1e-06): ('0x0.0p+0', '0x1.d8e0b49e00000p-44', '0x1.d8e0b07e00000p-44', '0x0.0p+0'),
+        ("mi", 0.5): ('0x0.0p+0', '0x1.5a9219d994420p-6', '0x1.44732344d7d98p-6', '0x0.0p+0'),
+        ("mi", 8.0): ('0x0.0p+0', '0x1.6ffc5842699d8p-2', '0x1.fd8c37a91905ep-3', '0x0.0p+0'),
+    }
+
+    def test_one_eps_costs_keep_recorded_bits(self):
+        p0, p1 = L.make_distribution([0.7, 0.3]), L.make_distribution([0.2, 0.8])
+        specs = {"kl": L.hypothesis_testing(L.KL, p0, p1), "tv": L.hypothesis_testing(L.TV, p0, p1),
+                 "chi2": L.hypothesis_testing(L.CHI2, p0, p1), "mi": L.information_preservation(p0)}
+        for (name, eps), want in self.RECORDED_K2_COSTS.items():
+            got = L.build_lp(specs[name], eps).cost
+            assert [float(x).hex() for x in got] == list(want), (name, eps)
+
     def test_one_eps_build_spot_checks_custom_kinds(self, monkeypatch):
         checked = []
         spot_check = L.utilities._spot_check_convexity
