@@ -2,11 +2,10 @@
 
 from .core import (AlphabetTooLarge, DimensionMismatch, Distribution, Mechanism,
                    MechanismFormatError, MechanismRecord, NegativeMass,
-                   NotNormalizable, PatternMatrix, effective_epsilon,
-                   induced_marginal, is_approx_private, is_locally_private,
-                   is_staircase, make_distribution, mechanism_from_dict,
-                   mechanism_from_json, mechanism_to_dict, mechanism_to_json,
-                   pattern_matrix)
+                   NotNormalizable, effective_epsilon, induced_marginal,
+                   is_approx_private, is_locally_private, is_staircase,
+                   make_distribution, mechanism_from_dict, mechanism_from_json,
+                   mechanism_to_dict, mechanism_to_json, pattern_matrix)
 from .utilities import (CHI2, KL, TV, AbsoluteContinuityViolated,
                         ConvexityViolation, FDivergenceKind, UtilitySpec, custom,
                         entropy, f_divergence, hypothesis_testing,

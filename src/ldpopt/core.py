@@ -1,7 +1,8 @@
 """Foundational types for discrete privatization mechanisms.
 
 Distributions over finite alphabets, row-stochastic mechanisms, the
-{1, e^eps}-valued pattern matrix behind extremal mechanisms, and the
+{1, e^eps}-valued pattern columns behind extremal mechanisms
+(`pattern_matrix`, the one rule that writes them), and the
 privacy predicates used everywhere else in the package. All objects are
 immutable after construction and all functions are pure.
 """
@@ -183,55 +184,28 @@ class Mechanism:
         return isinstance(other, Mechanism) and np.array_equal(self.rows, other.rows)
 
 
-@dataclass(frozen=True)
-class PatternMatrix:
-    """The k x 2^k matrix whose columns are all {1, e^eps}-valued patterns.
-
-    Column j (1-indexed) is (e^eps - 1) * b_{j-1} + 1 where b_m is the k-bit
-    binary representation of m with row k holding the least-significant bit.
-    Only k and eps are stored: `matrix` is built on first access and then
-    cached, and `column` builds the columns it is asked for, so an LP that
-    never needs all 2^k columns at once never materializes them.
-    """
-
-    k: int
-    eps: float
-
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense, read-only k x 2^k pattern matrix."""
-        return self.column(slice(None))
-
-    @property
-    def num_columns(self) -> int:
-        return 2**self.k
-
-    @property
-    def bits(self) -> np.ndarray:
-        """The eps-free, read-only k x 2^k {0, 1} matrix: the pattern is
-        1 + delta * bits."""
-        return _pattern_bits(self.k)
-
-    @property
-    def delta(self) -> float:
-        """e^eps - 1, by expm1: full relative precision at small eps."""
-        return math.expm1(self.eps)
-
-    def column(self, j) -> np.ndarray:
-        """Pattern column j, 0-indexed; an index array or slice gives the
-        k x len(j) block of those columns."""
-        cols = self.bits[:, j] * self.delta
-        cols += 1.0
-        cols.flags.writeable = False
-        return cols
-
-
-def pattern_matrix(k: int, eps: float) -> PatternMatrix:
-    """The staircase pattern matrix for alphabet size k at privacy level eps."""
+def _pattern_delta(k: int, eps: float) -> float:
+    """e^eps - 1 by expm1, full relative precision at small eps, after the
+    one check of a pattern's (k, eps): k in [2, MAX_LP_K] and a valid eps."""
     if not 2 <= k <= MAX_LP_K:
         raise AlphabetTooLarge(f"k={k} outside [2, {MAX_LP_K}]")
     exp_eps(eps)
-    return PatternMatrix(k=k, eps=eps)
+    return math.expm1(eps)
+
+
+def pattern_matrix(k: int, eps: float, j=slice(None)) -> np.ndarray:
+    """Columns j of the read-only k x 2^k staircase pattern matrix at
+    privacy level eps: all of them by default; an index array or a slice
+    gives the k x len(j) block of those columns, and an int one column.
+
+    Column j (0-indexed) is (e^eps - 1) * b_j + 1, where b_j is the k-bit
+    binary representation of j with row 0 holding the most significant bit.
+    """
+    delta = _pattern_delta(k, eps)
+    cols = _pattern_bits(k)[:, j] * delta
+    cols += 1.0
+    cols.flags.writeable = False
+    return cols
 
 
 @functools.cache

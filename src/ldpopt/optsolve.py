@@ -17,10 +17,11 @@ is e_0. In these rows the randomized-response columns form a well
 conditioned feasible basis at every eps, so no phase 1 is needed. The
 costs are divided by their largest entry, making PIVOT_TOL relative.
 
-S itself is never built here. The costs come from the prior masses on
-the eps-free bit matrix (`utilities.pattern_scores`), and they are the only
-part of the LP that depends on the priors; `build_lps` scores a whole eps
-grid from one set of masses, and `build_lp` is its one-eps case. The
+An LP is (k, eps) and its costs; `core.pattern_matrix` writes its columns.
+The costs come from the prior masses on the eps-free bit matrix
+(`utilities.pattern_scores`), and they are the only part of the LP that
+depends on the priors; `build_lps` scores a whole eps grid from one set
+of masses, and `build_lp` is its one-eps case. The
 bit-difference rows are cached per k and the rest of the prior-free part
 per (k, eps) (_lp_start), so solves at a repeated eps build none of it.
 The certificate and the extraction build just the basis columns.
@@ -51,8 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PARSE_ROW_SUM_TOL, AlphabetTooLarge, PatternMatrix, Mechanism,
-                   _pattern_bits, pattern_index, pattern_matrix)
+from .core import (PARSE_ROW_SUM_TOL, AlphabetTooLarge, Mechanism, _pattern_bits,
+                   _pattern_delta, pattern_index, pattern_matrix)
 from .utilities import UtilitySpec, pattern_scores
 
 # The vertex oracle enumerates the C(2^k, k) bases: 1,820 at k = 4 and
@@ -87,8 +88,10 @@ PRICING_NOISE = 4 * np.finfo(float).eps
 
 # solve's feasibility certificate on the original S. S theta holds the
 # mechanism's row sums before normalization, so it gets the wire format's
-# PARSE_ROW_SUM_TOL. The scaled weights are at most 1 and come from a well
-# conditioned basis, so a weight below -1e-12 marks an infeasible basis.
+# PARSE_ROW_SUM_TOL. Every basic solution passes that, so the sign test
+# reads the masses theta_j * s_j (at eps = 30 a weight of -1e-12 is a mass
+# of -10). They are at most 1 and come from a well conditioned basis, so a
+# mass below -1e-12 marks an infeasible basis, in solve and in the oracle.
 CERT_NEG_TOL = 1e-12
 
 # Basic columns whose mass theta_j * s_j (s_j the column's largest entry) is
@@ -103,9 +106,8 @@ MAX_ITERATIONS = 200_000
 BLAND_AFTER = 50
 DEGENERATE_STEP = 1e-12
 
-# Oracle-side acceptance thresholds for candidate vertices.
+# The oracle's bound on a candidate vertex's residual on the original S.
 ORACLE_RESIDUAL_TOL = 1e-10
-ORACLE_NEG_TOL = 1e-12
 
 
 class NumericalBreakdown(RuntimeError):
@@ -118,14 +120,14 @@ class DegenerateBasis(RuntimeError):
 
 @dataclass(frozen=True)
 class StaircaseLP:
-    """maximize sum_j cost_j theta_j s_j subject to pattern @ theta = 1,
-    theta >= 0: cost_j scores column j over its largest entry s_j (1 for
-    column 0, else 1 + delta), and theta_j s_j is the mass it carries."""
+    """maximize sum_j cost_j theta_j s_j subject to
+    pattern_matrix(k, eps) @ theta = 1, theta >= 0: cost_j scores column j
+    over its largest entry s_j (1 for column 0, else 1 + delta), and
+    theta_j s_j is the mass it carries."""
 
     k: int
     eps: float
     cost: np.ndarray
-    pattern: PatternMatrix
 
     @property
     def num_columns(self) -> int:
@@ -149,15 +151,13 @@ def build_lps(spec: UtilitySpec, eps_grid) -> tuple[np.ndarray, list[StaircaseLP
     are computed once, for every eps.
     """
     k = spec.k
-    pats = [pattern_matrix(k, eps) for eps in eps_grid]
-    delta = np.array([pat.delta for pat in pats])[:, None]
+    delta = np.array([_pattern_delta(k, eps) for eps in eps_grid])[:, None]
     cost = pattern_scores(spec, _pattern_bits(k), delta)
     # Column 0 is all ones, its own unit-max form, and pattern_scores scored
     # it over 1 + delta. Every preset scores it 0; a custom f scores f(1).
     cost[:, :1] *= 1.0 + delta
     cost.flags.writeable = False
-    return cost, [StaircaseLP(k=k, eps=pat.eps, cost=row, pattern=pat)
-                  for pat, row in zip(pats, cost)]
+    return cost, [StaircaseLP(k=k, eps=eps, cost=row) for eps, row in zip(eps_grid, cost)]
 
 
 def build_lp(spec: UtilitySpec, eps: float) -> StaircaseLP:
@@ -270,10 +270,9 @@ def _lp_start(k: int, eps: float) -> tuple[np.ndarray, ...]:
     explicit inverse is accurate. solve copies the basis, which the
     simplex updates; the simplex only reads the inverse.
     """
-    delta = PatternMatrix(k, eps).delta
-    scale = np.full(2**k, delta + 1.0)
+    scale = np.full(2**k, math.expm1(eps) + 1.0)
     scale[0] = 1.0
-    A = np.vstack([(1.0 + delta * _pattern_bits(k)[0]) / scale, _bit_differences(k)])
+    A = np.vstack([pattern_matrix(k, eps)[0] / scale, _bit_differences(k)])
     basis = pattern_index(np.eye(k))
     start = (A, scale, basis, np.linalg.inv(A[:, basis]))
     for arr in start:
@@ -293,7 +292,7 @@ def solve(lp: StaircaseLP) -> LPSolution:
     can; a cost that is not finite is numerical breakdown.
     """
     k, n = lp.k, lp.num_columns
-    A, scale, start, start_inv = _lp_start(k, lp.pattern.eps)
+    A, scale, start, start_inv = _lp_start(k, lp.eps)
     rhs = np.zeros(k)
     rhs[0] = 1.0
 
@@ -305,8 +304,8 @@ def solve(lp: StaircaseLP) -> LPSolution:
 
     mass = np.linalg.solve(A[:, basis], rhs)
     basic = mass / scale[basis]
-    if (float(np.abs(lp.pattern.column(basis) @ basic - 1.0).max()) > PARSE_ROW_SUM_TOL
-            or basic.min() < -CERT_NEG_TOL):
+    fit = pattern_matrix(k, lp.eps, basis) @ basic
+    if float(np.abs(fit - 1.0).max()) > PARSE_ROW_SUM_TOL or mass.min() < -CERT_NEG_TOL:
         raise NumericalBreakdown("solution fails its feasibility certificate")
     theta = np.zeros(n)
     theta[basis] = basic
@@ -326,7 +325,7 @@ def extract_mechanism(sol: LPSolution, lp: StaircaseLP) -> Mechanism:
     Rows are then normalized exactly.
     """
     basis = np.array(sol.basis, dtype=int)
-    pat = lp.pattern.column(basis)
+    pat = pattern_matrix(lp.k, lp.eps, basis)
     cols = pat * sol.theta[basis]
     kept = cols.max(axis=0) > EXTRACT_TOL
     if not kept.any():
@@ -393,22 +392,22 @@ def vertex_oracle(lp: StaircaseLP) -> float:
     over det M = C1 + C2 / s (see _oracle_bases), computed as
     (C1 + C2) - C2 * delta / (1 + delta). No linear system is solved per
     eps. A candidate must pass ORACLE_RESIDUAL_TOL on the original S and
-    ORACLE_NEG_TOL on its masses; at an isolated eps where det M vanishes
+    CERT_NEG_TOL on its masses; at an isolated eps where det M vanishes
     its masses are inf or NaN and fail the residual test.
     """
     if lp.k > MAX_ORACLE_K:
         raise AlphabetTooLarge(f"vertex oracle is capped at k={MAX_ORACLE_K}")
     cols, cofactors, total, c2 = _oracle_bases(lp.k)
-    delta = lp.pattern.delta
+    delta = math.expm1(lp.eps)
     with np.errstate(divide="ignore", invalid="ignore"):
         mass = cofactors / (total - c2 * (delta / (1.0 + delta)))
         # Every column but the all-ones column 0 has largest entry 1 + delta.
         theta = mass / (1.0 + delta)
         np.copyto(theta[0], mass[0], where=cols[0] == 0)
-        fit = np.einsum("xjm,jm->xm", lp.pattern.matrix.take(cols, axis=1), theta)
+        fit = np.einsum("xjm,jm->xm", pattern_matrix(lp.k, lp.eps).take(cols, axis=1), theta)
         # Judge each weight by the mass it puts in its column: e^eps
         # magnifies a slightly negative weight on an e^eps entry.
         ok = ((np.abs(fit - 1.0) <= ORACLE_RESIDUAL_TOL).all(axis=0)
-              & (mass >= -ORACLE_NEG_TOL).all(axis=0))
+              & (mass >= -CERT_NEG_TOL).all(axis=0))
     value = np.einsum("jm,jm->m", lp.cost.take(cols[:, ok]), mass[:, ok])
     return float(value.max(initial=-np.inf))

@@ -10,7 +10,7 @@ import pytest
 
 import ldpopt as L
 from ldpopt.cli import _instance_priors, main
-from ldpopt.core import MAX_EPS
+from ldpopt.core import MAX_EPS, _pattern_bits
 
 # Call counts and float output pinned on these versions: numpy's Python
 # wrappers and its floating-point kernels change between releases.
@@ -161,6 +161,19 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "pinsker" in out and "duchi" in out
 
+    def test_mi_bound_reports_printed(self, tmp_path, capsys):
+        # --p alone runs the mutual-information suite on the mechanism.
+        path = tmp_path / "bin_mi.json"
+        p = L.make_distribution([0.5, 0.3, 0.2])
+        Q = L.binary_mi(p, 0.5)
+        path.write_text(L.mechanism_to_json(Q, eps_claimed=0.5, delta_claimed=0.0))
+        assert main(["check", str(path), "--p", "0.5,0.3,0.2"]) == 0
+        bounds = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("bound ")]
+        assert [line.split(":")[0] for line in bounds] == [
+            f"bound {r.name}" for r in L.mi_converse_suite(p, Q, 0.5)]
+        assert bounds and "mi-vs-entropy" in bounds[0]
+
     def test_very_large_eps_reports(self, tmp_path, capsys):
         # (e^eps)^2 exceeds the float range past eps = 354.9.
         path = tmp_path / "rr.json"
@@ -190,6 +203,12 @@ class TestRegionCommand:
         want = L.region_eps_delta(1.0, 0.1).vertices
         got = [tuple(map(float, line.split(","))) for line in lines[1:]]
         np.testing.assert_allclose(got, want, atol=1e-9)
+
+    def test_needs_a_mechanism_or_eps(self, capsys):
+        assert main(["region"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need either --mech or --eps/--delta\n"
 
 
 class TestSweepCommand:
@@ -271,7 +290,7 @@ class TestSweepCommand:
         for spec, r in self._named_rows(k, utility, 2):
             eps = r.eps
             lp = L.build_lp(spec, eps)
-            delta, bits = lp.pattern.delta, lp.pattern.bits
+            delta, bits = math.expm1(eps), _pattern_bits(k)
             if utility == "mi":
                 m = spec.p.probs @ bits
                 size = (m * np.log1p(delta * (1 - m) / (1 + delta * m))
@@ -357,6 +376,18 @@ class TestSweepCommand:
         assert main(["sweep", "--k", "3", "--eps-grid", "",
                      "--utility", "kl"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["--k", "3", "--utility", "kl"],
+        ["--eps-grid", "1.0", "--utility", "kl"],
+        ["--k", "3", "--eps-grid", "1.0"],
+    ])
+    def test_flags_needed_without_config(self, capsys, argv):
+        assert main(["sweep", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --k, --eps-grid and --utility are required "
+                                "without --config\n")
+
     def test_k_cap(self, capsys):
         assert main(["sweep", "--k", "13", "--eps-grid", "1.0",
                      "--utility", "kl"]) == 1
@@ -385,6 +416,7 @@ class TestSweepCommand:
                            f"{L.cli.SWEEP_MECHANISMS}, got []"),
         ("out_path", 1, "out_path must be a string, got 1"),
         ("out_path", True, "out_path must be a string, got True"),
+        ("utility", "lasso", "unknown utility 'lasso'"),
     ])
     def test_bad_config_field_is_named(self, tmp_path, capsys, field, value, message):
         cfg = dict(self.CFG, eps_grid=list(self.CFG["eps_grid"]))
@@ -549,6 +581,23 @@ class TestExponentCommand:
         lines = self._identity_run(tmp_path, capsys, "0.999,0.001", 1000)
         assert lines == ["exponent_estimate=0.000138933949605", "kl_rate=inf",
                          "beta_estimate=0.870285509262"]
+
+    def test_rr_mechanism(self, capsys):
+        # --mechanism rr simulates randomized response on the priors'
+        # alphabet, not the binary mechanism.
+        argv = ["--p0", "0.6,0.3,0.1", "--p1", "0.2,0.3,0.5", "--eps", "0.7",
+                "--n", "300", "--trials", "40", "--seed", "3"]
+        assert main(["exponent", *argv, "--mechanism", "rr"]) == 0
+        rr_out = capsys.readouterr().out
+        P0 = L.make_distribution([0.6, 0.3, 0.1])
+        P1 = L.make_distribution([0.2, 0.3, 0.5])
+        r = L.run_exponent_sim(P0, P1, L.randomized_response(3, 0.7), n=300, trials=40,
+                               alpha_star=0.05, seed=3)
+        assert rr_out.splitlines() == [f"exponent_estimate={r.exponent:.12g}",
+                                       f"kl_rate={r.kl_rate:.12g}",
+                                       f"beta_estimate={r.beta:.12g}"]
+        assert main(["exponent", *argv]) == 0
+        assert capsys.readouterr().out != rr_out
 
     def test_eps0_mechanism_zero_exponent(self):
         P0 = L.make_distribution([0.8, 0.2])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import ldpopt as L
-from ldpopt.core import DEFAULT_RATIO_TOL, MAX_EPS, ROW_SUM_TOL, pattern_index
+from ldpopt.core import (DEFAULT_RATIO_TOL, MAX_EPS, ROW_SUM_TOL, _pattern_bits,
+                         pattern_index)
 
 
 def _random_staircase_rows(rng, k, eps):
@@ -23,7 +24,7 @@ def _random_staircase_rows(rng, k, eps):
         t[(n - 1) ^ j] = 1.0 / (1.0 + e)
     weights = rng.dirichlet(np.ones(len(thetas)))
     theta = sum(w * t for w, t in zip(weights, thetas))
-    pat = L.pattern_matrix(k, eps).matrix
+    pat = L.pattern_matrix(k, eps)
     return pat * theta
 
 
@@ -294,30 +295,42 @@ class TestPatternMatrix:
             [1, 1, e, e, 1, 1, e, e],
             [1, e, 1, e, 1, e, 1, e],
         ])
-        np.testing.assert_allclose(L.pattern_matrix(3, eps).matrix, expected)
+        np.testing.assert_allclose(L.pattern_matrix(3, eps), expected)
 
     def test_k2_eps0_all_ones(self):
-        mat = L.pattern_matrix(2, 0.0).matrix
+        mat = L.pattern_matrix(2, 0.0)
         np.testing.assert_array_equal(mat, np.ones((2, 4)))
 
     def test_k2_ln3(self):
-        mat = L.pattern_matrix(2, math.log(3)).matrix
+        mat = L.pattern_matrix(2, math.log(3))
         np.testing.assert_allclose(mat.T, [[1, 1], [1, 3], [3, 1], [3, 3]])
 
     def test_first_and_last_columns(self):
-        pat = L.pattern_matrix(4, 1.3)
-        np.testing.assert_allclose(pat.column(0), 1.0)
-        np.testing.assert_allclose(pat.column(15), math.exp(1.3))
+        np.testing.assert_allclose(L.pattern_matrix(4, 1.3, 0), 1.0)
+        np.testing.assert_allclose(L.pattern_matrix(4, 1.3, 15), math.exp(1.3))
+
+    @pytest.mark.parametrize("k", [2, 5, 12])
+    def test_columns_are_the_dense_matrix_columns(self, k):
+        # An index array, a slice or one index gives exactly those columns
+        # of the dense matrix, read-only.
+        rng = np.random.default_rng([31, k])
+        for eps in (0.0, 1e-6, 0.3, 30.0):
+            mat = L.pattern_matrix(k, eps)
+            for j in (rng.choice(2**k, size=k, replace=False), slice(1, None, 3), 3):
+                cols = L.pattern_matrix(k, eps, j)
+                assert cols.tobytes() == mat[:, j].tobytes()
+                assert not cols.flags.writeable
 
     def test_distinct_columns(self):
-        mat = L.pattern_matrix(3, 0.5).matrix
+        mat = L.pattern_matrix(3, 0.5)
         assert len({tuple(c) for c in mat.T}) == 8
-        mat0 = L.pattern_matrix(3, 0.0).matrix
+        mat0 = L.pattern_matrix(3, 0.0)
         assert len({tuple(c) for c in mat0.T}) == 1
 
     def test_cap(self):
-        with pytest.raises(L.AlphabetTooLarge):
-            L.pattern_matrix(13, 1.0)
+        for k in (1, 13, 64):
+            with pytest.raises(L.AlphabetTooLarge):
+                L.pattern_matrix(k, 1.0)
 
     def test_matches_direct_construction_and_is_frozen(self):
         # the cached bit matrix gives the same bits as building them afresh
@@ -325,7 +338,7 @@ class TestPatternMatrix:
             j = np.arange(2**k, dtype=np.int64)
             bits = (j[None, :] >> (k - 1 - np.arange(k)[:, None])) & 1
             for eps in (0.0, 0.3, 8.0):
-                mat = L.pattern_matrix(k, eps).matrix
+                mat = L.pattern_matrix(k, eps)
                 np.testing.assert_array_equal(
                     mat, (math.exp(eps) - 1.0) * bits.astype(float) + 1.0)
                 assert not mat.flags.writeable
@@ -334,7 +347,7 @@ class TestPatternMatrix:
 
     @pytest.mark.parametrize("k", [2, 5, 12])
     def test_pattern_index_inverts_the_bits(self, k):
-        bits = L.pattern_matrix(k, 0.0).bits
+        bits = _pattern_bits(k)
         np.testing.assert_array_equal(pattern_index(bits), np.arange(2**k))
         # The one-bit columns are randomized response's, row 0 the top bit.
         np.testing.assert_array_equal(pattern_index(np.eye(k, dtype=bool)),
@@ -556,6 +569,20 @@ class TestSerialization:
                             (f'"k": 1, "l": 2, "rows": [[0.5, 1{"0" * 5000}]]', "^invalid JSON")):
             with pytest.raises(L.MechanismFormatError, match=where):
                 L.mechanism_from_json(f"{{{text}}}")
+
+    @pytest.mark.parametrize("obj, message", [
+        ([[1.0], [1.0]], "^expected a JSON object$"),
+        ({"k": 2, "rows": [[1.0], [1.0]]}, "^missing key 'l'$"),
+        ({"k": 2, "l": 1, "rows": [[1.0]]}, "^expected 2 rows, found 1$"),
+        ({"k": 2, "l": 1, "rows": {"0": [1.0]}}, "^expected 2 rows, found none$"),
+        ({"k": 1, "l": 1, "rows": [[1.0]], "eps_claimed": "1.0"},
+         "^eps_claimed must be a number or null$"),
+        ({"k": 1, "l": 1, "rows": [[1.0]], "delta_claimed": False},
+         "^delta_claimed must be a number or null$"),
+    ])
+    def test_rejects_malformed_objects(self, obj, message):
+        with pytest.raises(L.MechanismFormatError, match=message):
+            L.mechanism_from_dict(obj)
 
     def test_rejects_shape_mismatch(self):
         obj = {"k": 2, "l": 3, "rows": [[0.5, 0.5], [0.5, 0.5]]}

@@ -10,7 +10,7 @@ import ldpopt as L
 from ldpopt import optsolve
 from ldpopt.cli import _instance_priors
 from ldpopt.core import MAX_EPS, pattern_index
-from ldpopt.optsolve import ORACLE_NEG_TOL, PIVOT_TOL, _lp_start, _run_simplex
+from ldpopt.optsolve import CERT_NEG_TOL, PIVOT_TOL, _lp_start, _run_simplex
 
 
 def _random_specs(rng, k):
@@ -20,6 +20,17 @@ def _random_specs(rng, k):
     return (L.hypothesis_testing(L.KL, p0, p1),
             L.hypothesis_testing(L.TV, p0, p1),
             L.information_preservation(p))
+
+
+def _assert_prices_out(lp, basis):
+    """Re-price a basis from a fresh solve of its dual, not from the
+    simplex's updated basis inverse. The simplex stops at PIVOT_TOL; drift
+    in its inverse may add at most as much again."""
+    A = _lp_start(lp.k, lp.eps)[0]
+    cost = lp.cost / (np.abs(lp.cost).max() or 1.0)
+    basis = list(basis)
+    y = np.linalg.solve(A[:, basis].T, cost[basis])
+    assert (y @ A - cost).min() >= -2 * PIVOT_TOL
 
 
 class TestBuildLP:
@@ -46,7 +57,7 @@ class TestBuildLP:
                                            p0, p1))
             for spec in specs:
                 lp = L.build_lp(spec, 1.3)
-                cols = [lp.pattern.column(j) for j in range(lp.num_columns)]
+                cols = [L.pattern_matrix(lp.k, lp.eps, j) for j in range(lp.num_columns)]
                 direct = [L.column_utility(spec, c / c.max()) for c in cols]
                 np.testing.assert_allclose(lp.cost, direct, rtol=1e-12, atol=1e-15)
 
@@ -83,7 +94,7 @@ class TestBuildLP:
         kinds = {"kl": L.KL, "tv": L.TV, "chi2": L.CHI2,
                  "custom": L.custom(lambda x: x * math.log(x) - x + 1.0)}
         for eps in (0.0, 1e-6, 0.1, 2.0, 30.0, 400.0, MAX_EPS):
-            S = L.pattern_matrix(k, eps).matrix
+            S = L.pattern_matrix(k, eps)
             scale = S.max(axis=0)
             a, b = p0.probs @ (S / scale), p1.probs @ (S / scale)
             cases = [(L.hypothesis_testing(kind, p0, p1),
@@ -107,7 +118,7 @@ class TestBuildLP:
             cost, lps = L.build_lps(spec, grid)
             assert cost.shape == (len(grid), 2**k) and not cost.flags.writeable
             for row, lp, eps in zip(cost, lps, grid):
-                assert lp.eps == eps and lp.pattern.eps == eps
+                assert lp.k == k and lp.eps == eps
                 assert np.array_equal(lp.cost, row)
                 assert L.build_lp(spec, eps).cost.tobytes() == row.tobytes()
 
@@ -152,15 +163,16 @@ class TestBuildLP:
             L.build_lps(bad, (0.5, 1.0))
 
     def test_lp_leaves_the_matrix_unbuilt(self):
+        # An LP is (k, eps) and its costs; solving and extracting leave no
+        # pattern columns on it.
         rng = np.random.default_rng([18, 12])
         p0 = L.make_distribution(rng.dirichlet(np.ones(12)))
         p1 = L.make_distribution(rng.dirichlet(np.ones(12)))
         for spec in (L.hypothesis_testing(L.KL, p0, p1), L.information_preservation(p0)):
             lp = L.build_lp(spec, 2.0)
             L.extract_mechanism(L.solve(lp), lp)
-            assert "matrix" not in vars(lp.pattern)
-        assert lp.pattern.matrix.shape == (12, 4096)
-        assert "matrix" in vars(lp.pattern)
+            assert set(vars(lp)) == {"k", "eps", "cost"}
+            assert lp.num_columns == 4096
 
     def test_custom_kind_objective(self):
         spec = L.hypothesis_testing(L.custom(lambda x: (x - 1.0) ** 2),
@@ -212,7 +224,7 @@ class TestSolve:
                 for eps in (0.1, 2.0, 20.0):
                     lp = L.build_lp(spec, eps)
                     sol = L.solve(lp)
-                    residual = np.abs(lp.pattern.matrix @ sol.theta - 1.0).max()
+                    residual = np.abs(L.pattern_matrix(lp.k, lp.eps) @ sol.theta - 1.0).max()
                     assert residual <= 1e-9
                     assert sol.theta.min() >= -1e-12
                     assert int((sol.theta > 1e-10).sum()) <= k
@@ -259,7 +271,7 @@ class TestSolve:
             split[j] = split[(n - 1) ^ j] = 1.0 / (1.0 + e)
             w = rng.dirichlet(np.ones(3))
             theta = w[0] * uniform + w[1] * rr + w[2] * split
-            rows = lp.pattern.matrix * theta
+            rows = L.pattern_matrix(lp.k, lp.eps) * theta
             assert L.utility(spec, L.Mechanism(rows)) <= opt + 1e-9
 
     def test_rr_closes_gap_at_large_eps(self):
@@ -441,9 +453,6 @@ class TestSolve:
 
     @pytest.mark.parametrize("k", [3, 6, 12])
     def test_returned_basis_prices_out(self, k):
-        # Re-price the returned basis from a fresh solve of its dual, not
-        # from the simplex's updated basis inverse. The simplex stops at
-        # PIVOT_TOL; drift in its inverse may add at most as much again.
         for i in range(3):
             rng = np.random.default_rng([41, k, i])
             p0 = L.make_distribution(rng.dirichlet(np.ones(k)))
@@ -452,11 +461,7 @@ class TestSolve:
             for spec in [*specs, L.information_preservation(p0)]:
                 for eps in (1e-6, 0.01, 0.5, 2.0, 8.0, 20.0, 30.0):
                     lp = L.build_lp(spec, eps)
-                    A = _lp_start(k, eps)[0]
-                    cost = lp.cost / (np.abs(lp.cost).max() or 1.0)
-                    basis = list(L.solve(lp).basis)
-                    y = np.linalg.solve(A[:, basis].T, cost[basis])
-                    assert (y @ A - cost).min() >= -2 * PIVOT_TOL
+                    _assert_prices_out(lp, L.solve(lp).basis)
 
     @pytest.mark.parametrize("k, priors", [(8, 4), (12, 1)])
     def test_matches_highs(self, k, priors):
@@ -475,7 +480,7 @@ class TestSolve:
                 for eps in (0.5, 2.0, 8.0):
                     lp = L.build_lp(spec, eps)
                     top = np.abs(lp.cost).max()
-                    S = lp.pattern.matrix
+                    S = L.pattern_matrix(lp.k, lp.eps)
                     res = linprog(-lp.cost / top, A_eq=S / S.max(axis=0), b_eq=np.ones(lp.k),
                                   bounds=(0, None), method="highs")
                     assert res.status == 0
@@ -493,8 +498,8 @@ class TestSolve:
         moved = theta.copy()
         moved[-1] += theta[0] / e
         moved[0] = 0.0
-        np.testing.assert_allclose(lp.pattern.matrix @ moved, 1.0, atol=1e-9)
-        mass = moved * lp.pattern.matrix.max(axis=0)
+        np.testing.assert_allclose(L.pattern_matrix(lp.k, lp.eps) @ moved, 1.0, atol=1e-9)
+        mass = moved * L.pattern_matrix(lp.k, lp.eps).max(axis=0)
         assert lp.cost @ mass == pytest.approx(sol.value, abs=1e-12)
 
 
@@ -683,6 +688,41 @@ class TestStartCache:
 
 
 class TestSimplexBreakdown:
+    def test_certificate_tests_masses(self, monkeypatch):
+        # At eps = 30 the basis {1, 3, 5} solves S_B theta = 1 exactly with
+        # the masses (-1, 1, 1). Its weight -1 / e^30, about -9e-14, is
+        # above -CERT_NEG_TOL; the mass it carries is not.
+        def leave_infeasible_basis(A, Binv, basis, cost):
+            basis[:] = [1, 3, 5]
+            return 0
+
+        monkeypatch.setattr(optsolve, "_run_simplex", leave_infeasible_basis)
+        spec = _random_specs(np.random.default_rng(29), 3)[0]
+        with pytest.raises(L.NumericalBreakdown, match="feasibility certificate"):
+            L.solve(L.build_lp(spec, 30.0))
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_bland_rule_from_the_start(self, monkeypatch, k):
+        # With BLAND_AFTER = 0 every pivot takes Bland's rule. It must reach
+        # the Dantzig optimum, and its basis must price out. (At k = 2 the
+        # randomized-response start is always optimal, so nothing pivots.)
+        rng = np.random.default_rng([43, k])
+        p0 = L.make_distribution(rng.dirichlet(np.ones(k)))
+        p1 = L.make_distribution(rng.dirichlet(np.ones(k)))
+        specs = [*(L.hypothesis_testing(kind, p0, p1) for kind in (L.KL, L.TV, L.CHI2)),
+                 L.information_preservation(p0)]
+        grid = (0.01, 0.5, 2.0, 8.0, 24.0)
+        lps = [L.build_lp(spec, eps) for spec in specs for eps in grid]
+        dantzig = [L.solve(lp).value for lp in lps]
+        monkeypatch.setattr(optsolve, "BLAND_AFTER", 0)
+        pivots = 0
+        for lp, want in zip(lps, dantzig):
+            sol = L.solve(lp)
+            pivots += sol.pivots
+            assert sol.value == pytest.approx(want, rel=1e-12, abs=1e-15)
+            _assert_prices_out(lp, sol.basis)
+        assert pivots > 0
+
     def test_no_admissible_pivot(self):
         # Column 2 improves the objective but has no positive entry in the
         # basis's rows, which only an unbounded LP allows.
@@ -910,7 +950,7 @@ class TestVertexOracle:
 @functools.cache
 def _exact_vertices(k, eps):
     """Every basic solution of S theta = 1 whose masses theta_j s_j are at
-    least -ORACLE_NEG_TOL, as (basis, masses) in exact rationals, with
+    least -CERT_NEG_TOL, as (basis, masses) in exact rationals, with
     e^eps rounded to 60 digits: fraction-free (Bareiss) elimination on the
     columns of S scaled to integers, then fraction-free back substitution."""
     mp = pytest.importorskip("mpmath")
@@ -939,6 +979,6 @@ def _exact_vertices(k, eps):
                 rest = sum(a[c][j] * num[j] for j in range(c + 1, k))
                 num[c] = (a[c][k] * prev - rest) // a[c][c]
             mass = [Fraction(n, prev) * (s if j else 1) for j, n in zip(basis, num)]
-            if min(mass) >= -Fraction(ORACLE_NEG_TOL):
+            if min(mass) >= -Fraction(CERT_NEG_TOL):
                 vertices.append((basis, mass))
     return vertices

@@ -280,3 +280,25 @@ class TestUtility:
             kl = L.f_divergence(L.KL, m0, m1)
             tv = L.f_divergence(L.TV, m0, m1)
             assert kl >= 2.0 * tv**2 - 1e-12
+
+
+_P = L.make_distribution([0.5, 0.3, 0.2])
+_ZERO = L.make_distribution([0.7, 0.3, 0.0])
+
+
+class TestUtilitySpecRejects:
+    @pytest.mark.parametrize("fields, error, message", [
+        (dict(objective="ht", kind=L.KL, p0=_P), ValueError,
+         "^hypothesis-testing spec needs kind, p0 and p1$"),
+        (dict(objective="ht", kind=L.KL, p0=_P, p1=L.make_distribution([0.5, 0.5])),
+         L.DimensionMismatch, "^p0 and p1 must share an alphabet$"),
+        (dict(objective="ht", kind=L.TV, p0=_P, p1=_ZERO), ValueError,
+         "^priors must be positive$"),
+        (dict(objective="mi", p0=_P), ValueError,
+         "^information-preservation spec needs p$"),
+        (dict(objective="mi", p=_ZERO), ValueError, "^prior must be positive$"),
+        (dict(objective="tv", p=_P), ValueError, "^unknown objective 'tv'$"),
+    ])
+    def test_names_what_is_wrong(self, fields, error, message):
+        with pytest.raises(error, match=message):
+            L.UtilitySpec(**fields)
