@@ -37,6 +37,9 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 FDIV_KINDS = {"kl": KL, "tv": TV, "chi2": CHI2}
+UTILITIES = (*FDIV_KINDS, "mi")
+# The priors of a hypothesis test (--p0, --p1) or of mutual information (--p).
+PRIOR_FLAGS = ("--p0", "--p1", "--p")
 SWEEP_MECHANISMS = ("binary", "rr", "geometric", "optimal", "mixed")
 
 # Instances whose LP optimum is below this are counted as achieving ratio 1.
@@ -80,19 +83,29 @@ class SweepConfig:
 
     def __post_init__(self):
         # A --config file can give any JSON value; each error names its field.
-        # Plain ints, a tuple of plain floats in [0, MAX_EPS] and the full
-        # tuple of mechanisms are accepted in one pass; any other value takes
-        # the field-by-field checks, which raise the same errors in the same
-        # order.
-        seed, k, n = self.seed, self.k, self.num_instances
-        if not (type(seed) is int and type(k) is int and type(n) is int
-                and seed >= 0 and n >= 1):
-            self._check_counts()
+        # The plain int and float tests come first, as a check against a
+        # numbers ABC alone takes about 1 us per value.
+        for name in ("seed", "k", "num_instances"):
+            value = getattr(self, name)
+            if type(value) is not int and (isinstance(value, bool)
+                                           or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
+        if self.num_instances < 1:
+            raise ValueError("need at least one instance")
         grid = self.eps_grid
-        if not (type(grid) is tuple and grid
-                and all([type(eps) is float and 0.0 <= eps <= MAX_EPS for eps in grid])):
-            self._check_grid()
-        if self.utility not in ("kl", "tv", "chi2", "mi"):
+        if not isinstance(grid, (list, tuple)) or not grid:
+            raise ValueError(f"eps_grid must be a nonempty list of numbers, got {grid!r}")
+        if type(grid) is not tuple:
+            object.__setattr__(self, "eps_grid", tuple(grid))
+        for eps in grid:
+            if type(eps) is not float and (isinstance(eps, bool)
+                                           or not isinstance(eps, numbers.Real)):
+                raise ValueError(f"eps_grid: {eps!r} is not a number")
+            if not 0.0 <= eps <= MAX_EPS:
+                exp_eps(eps)  # raises the package's one privacy-level error
+        if self.utility not in UTILITIES:
             raise ValueError(f"unknown utility {self.utility!r}")
         mechanisms = self.mechanisms
         if not (type(mechanisms) is tuple and mechanisms == SWEEP_MECHANISMS):
@@ -105,28 +118,6 @@ class SweepConfig:
         # alphabet cap applies to all sweeps, not only "optimal" rows.
         if not 2 <= self.k <= MAX_LP_K:
             raise ValueError(f"sweeps need k in [2, {MAX_LP_K}], got k={self.k}")
-
-    def _check_counts(self):
-        # int comes first in the isinstance tuple, as a check against a
-        # numbers ABC alone takes about 1 us per value.
-        for name in ("seed", "k", "num_instances"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        if self.num_instances < 1:
-            raise ValueError("need at least one instance")
-
-    def _check_grid(self):
-        if not isinstance(self.eps_grid, (list, tuple)) or not self.eps_grid:
-            raise ValueError(f"eps_grid must be a nonempty list of numbers, "
-                             f"got {self.eps_grid!r}")
-        object.__setattr__(self, "eps_grid", tuple(self.eps_grid))
-        for eps in self.eps_grid:
-            if isinstance(eps, bool) or not isinstance(eps, (float, int, numbers.Real)):
-                raise ValueError(f"eps_grid: {eps!r} is not a number")
-            exp_eps(eps)
 
 
 @dataclass(frozen=True)
@@ -363,7 +354,7 @@ def cmd_check(args) -> int:
         print(f"is_approx_private(eps={_fmt(eps)}, delta={_fmt(delta)}): {approx}")
         print(f"is_staircase(eps={_fmt(eps)}): {stair}")
         ok = approx if delta > 0 else pure
-        if args.p0 and args.p1:
+        if args.p0 or args.p1:
             reports = converse_suite(_prior(args, "p0"), _prior(args, "p1"), Q, eps)
         elif args.p:
             reports = mi_converse_suite(_prior(args, "p"), Q, eps)
@@ -444,18 +435,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--p0")
-    p.add_argument("--p1")
-    p.add_argument("--p")
+    for flag in PRIOR_FLAGS:
+        p.add_argument(flag)
     p.add_argument("--out")
     p.set_defaults(func=cmd_mech)
 
     p = sub.add_parser("opt", help="solve the pattern LP and emit the optimal mechanism")
-    p.add_argument("--utility", choices=["kl", "tv", "chi2", "mi"], required=True)
+    p.add_argument("--utility", choices=UTILITIES, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--p0")
-    p.add_argument("--p1")
-    p.add_argument("--p")
+    for flag in PRIOR_FLAGS:
+        p.add_argument(flag)
     p.add_argument("--out")
     p.set_defaults(func=cmd_opt)
 
@@ -463,9 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mechanism")
     p.add_argument("--eps", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--p0")
-    p.add_argument("--p1")
-    p.add_argument("--p")
+    for flag in PRIOR_FLAGS:
+        p.add_argument(flag)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("region", help="emit an error-region boundary as CSV")
@@ -483,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--num-instances", type=int, default=100)
     p.add_argument("--eps-grid", dest="eps_grid")
-    p.add_argument("--utility", choices=["kl", "tv", "chi2", "mi"])
+    p.add_argument("--utility", choices=UTILITIES)
     p.add_argument("--mechanisms")
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)

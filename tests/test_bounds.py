@@ -340,6 +340,30 @@ class TestApproximationChecks:
             L.approximation_checks(L.hypothesis_testing(L.TV, p0, p1), 1.0)
 
 
+_P2 = L.make_distribution([0.6, 0.4])
+_P3 = L.make_distribution([0.5, 0.3, 0.2])
+_ZERO3 = L.make_distribution([0.7, 0.3, 0.0])
+_RR3 = L.randomized_response(3, 1.0)
+
+
+class TestSuitesReject:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: L.converse_suite(_P2, _P3, _RR3, 1.0), L.DimensionMismatch,
+         "priors must share an alphabet"),
+        (lambda: L.converse_suite(_P3, _ZERO3, _RR3, 1.0), ValueError,
+         "priors must be positive"),
+        (lambda: L.mi_converse_suite(_ZERO3, _RR3, 1.0), ValueError,
+         "prior must be positive"),
+        (lambda: L.mi_converse_suite(_P2, _RR3, 1.0), L.DimensionMismatch,
+         "prior and mechanism disagree on k"),
+        (lambda: L.marginal_ratio_bounds(_P2, _P2, _RR3, 1.0), L.DimensionMismatch,
+         "priors and mechanism disagree on k"),
+    ])
+    def test_names_what_is_wrong(self, call, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
+
+
 class TestMarginalRatioBounds:
     def test_binary_meets_bounds_with_equality(self):
         rng = np.random.default_rng(52)

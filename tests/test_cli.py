@@ -174,6 +174,57 @@ class TestCheckCommand:
             f"bound {r.name}" for r in L.mi_converse_suite(p, Q, 0.5)]
         assert bounds and "mi-vs-entropy" in bounds[0]
 
+    # The full output of check with both hypothesis-testing priors and with
+    # the mutual-information prior.
+    PRIOR_OUTPUTS = {
+        "ht": ("bin.json", L.binary_ht(L.make_distribution([0.7, 0.3]),
+                                       L.make_distribution([0.3, 0.7]), 0.5),
+               ["--p0", "0.7,0.3", "--p1", "0.3,0.7"], """\
+k=2 l=2
+effective_epsilon=0.5
+is_locally_private(eps=0.5): True
+is_approx_private(eps=0.5, delta=0): True
+is_staircase(eps=0.5): True
+bound pinsker: lhs=0.019195248382 rhs=0.0192570140496 satisfied=True
+bound duchi-symmetrized-kl: lhs=0.0385140280993 rhs=0.269337143718 satisfied=True
+bound symmetrized-kl-high-privacy: lhs=0.0385140280993 rhs=0.0508428626857 satisfied=True
+bound binary-kl-expansion-ratio: lhs=0.242488993246 rhs=0.05 satisfied=False
+bound rr-kl-low-privacy-residual: lhs=0.114097278012 rhs=6.6768344997 satisfied=True
+"""),
+        "mi": ("bin_mi.json", L.binary_mi(L.make_distribution([0.5, 0.3, 0.2]), 0.5),
+               ["--p", "0.5,0.3,0.2"], """\
+k=3 l=2
+effective_epsilon=0.5
+is_locally_private(eps=0.5): True
+is_approx_private(eps=0.5, delta=0): True
+is_staircase(eps=0.5): True
+bound mi-vs-entropy: lhs=0.0302998619808 rhs=1.02965301406 satisfied=True
+bound mi-high-privacy: lhs=0.0302998619808 rhs=0.03125 satisfied=True
+bound mi-low-privacy: lhs=0.0302998619808 rhs=0.423122354352 satisfied=True
+bound binary-mi-expansion-ratio: lhs=0.0304044166155 rhs=0.05 satisfied=True
+bound rr-mi-low-privacy-residual: lhs=0.395151865773 rhs=9.5977481033 satisfied=True
+"""),
+    }
+
+    @pytest.mark.parametrize("suite", ["ht", "mi"])
+    def test_prior_flags_output(self, tmp_path, capsys, suite):
+        name, Q, flags, want = self.PRIOR_OUTPUTS[suite]
+        path = tmp_path / name
+        path.write_text(L.mechanism_to_json(Q, eps_claimed=0.5, delta_claimed=0.0))
+        assert main(["check", str(path), *flags]) == 0
+        assert capsys.readouterr() == (want, "")
+
+    @pytest.mark.parametrize("given, missing", [("--p0", "--p1"), ("--p1", "--p0")])
+    def test_lone_ht_prior_names_the_other(self, tmp_path, capsys, given, missing):
+        # Either flag selects the hypothesis-testing suite, which needs both.
+        name, Q, _, want = self.PRIOR_OUTPUTS["ht"]
+        path = tmp_path / name
+        path.write_text(L.mechanism_to_json(Q, eps_claimed=0.5, delta_claimed=0.0))
+        assert main(["check", str(path), given, "0.7,0.3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == want[:want.index("bound ")]
+        assert captured.err == f"error: missing {missing}\n"
+
     def test_very_large_eps_reports(self, tmp_path, capsys):
         # (e^eps)^2 exceeds the float range past eps = 354.9.
         path = tmp_path / "rr.json"
@@ -392,6 +443,32 @@ class TestSweepCommand:
         assert main(["sweep", "--k", "13", "--eps-grid", "1.0",
                      "--utility", "kl"]) == 1
 
+    def test_solver_failure_names_its_instance(self, monkeypatch, capsys):
+        # The fourth solve is instance 1 at eps = 1 of the CFG sweep.
+        original = L.NumericalBreakdown("pivot row lost")
+        calls = 0
+
+        def solve(lp):
+            nonlocal calls
+            calls += 1
+            if calls == 4:
+                raise original
+            return L.solve(lp)
+
+        monkeypatch.setattr(L.cli, "solve", solve)
+        with pytest.raises(L.NumericalBreakdown) as info:
+            L.run_sweep(L.SweepConfig(**self.CFG))
+        assert str(info.value) == ("utility=kl k=3 eps=1.0 seed=7 instance_id=1: "
+                                   "pivot row lost")
+        assert info.value.__cause__ is original
+        calls = 0
+        assert main(["sweep", "--seed", "7", "--k", "3", "--num-instances", "3",
+                     "--eps-grid", "0,1", "--utility", "kl"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: utility=kl k=3 eps=1.0 seed=7 instance_id=1: "
+                                "pivot row lost\n")
+
     def test_bad_grid_token_is_named(self, capsys):
         assert main(["sweep", "--k", "6", "--eps-grid", "0.5,,1",
                      "--utility", "kl"]) == 1
@@ -438,9 +515,8 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err == f"error: config must be a JSON object, got {kind}\n"
 
-    # Python callers can pass values a JSON file cannot. Plain ints and
-    # floats in range take a one-pass check; every other value must raise
-    # what the field-by-field checks raise, the first bad field first.
+    # Python callers can pass values a JSON file cannot. Each bad value
+    # raises its field's error, the first bad field first.
     @pytest.mark.parametrize("fields, message", [
         (dict(eps_grid=(1.0, math.nan)), "got eps=nan, delta=0.0"),
         (dict(eps_grid=(math.inf,)), "got eps=inf, delta=0.0"),
@@ -607,6 +683,19 @@ class TestExponentCommand:
         assert abs(r.exponent) < 1e-9
         assert r.kl_rate == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n, trials, alpha, message", [
+        (99, 50, 0.05, "need n >= 100 samples per trial"),
+        (1000, 1, 0.05, "need trials >= 2 and alpha_star in (0, 1)"),
+        (1000, 50, 0.0, "need trials >= 2 and alpha_star in (0, 1)"),
+        (1000, 50, 1.0, "need trials >= 2 and alpha_star in (0, 1)"),
+    ])
+    def test_sim_arguments_checked(self, n, trials, alpha, message):
+        P0 = L.make_distribution([0.8, 0.2])
+        P1 = L.make_distribution([0.2, 0.8])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            L.run_exponent_sim(P0, P1, L.randomized_response(2, 1.0), n=n, trials=trials,
+                               alpha_star=alpha, seed=0)
+
 
 class TestBadPrivacyLevel:
     """A privacy level outside eps in [0, 709.78], delta in [0, 1] exits 1
@@ -650,6 +739,134 @@ class TestMissingPrior:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert flag in err
+
+
+class TestParser:
+    # The --help text of ldpopt and of each subcommand at 80 columns.
+    # argparse's layout changes between Python releases.
+    HELP = {
+        "ldpopt": """\
+usage: ldpopt [-h] {mech,opt,check,region,sweep,exponent} ...
+
+Optimal mechanisms for local differential privacy on finite alphabets.
+
+positional arguments:
+  {mech,opt,check,region,sweep,exponent}
+    mech                construct a named mechanism and emit JSON
+    opt                 solve the pattern LP and emit the optimal mechanism
+    check               validate a mechanism file and its privacy claims
+    region              emit an error-region boundary as CSV
+    sweep               run a benchmark sweep over random priors
+    exponent            Monte-Carlo Chernoff-Stein exponent estimate
+
+options:
+  -h, --help            show this help message and exit
+""",
+        "mech": """\
+usage: ldpopt mech [-h] [--k K] --eps EPS [--delta DELTA] [--p0 P0] [--p1 P1]
+                   [--p P] [--out OUT]
+                   {binary,binary-mi,rr,geometric,quaternary}
+
+positional arguments:
+  {binary,binary-mi,rr,geometric,quaternary}
+
+options:
+  -h, --help            show this help message and exit
+  --k K
+  --eps EPS
+  --delta DELTA
+  --p0 P0
+  --p1 P1
+  --p P
+  --out OUT
+""",
+        "opt": """\
+usage: ldpopt opt [-h] --utility {kl,tv,chi2,mi} --eps EPS [--p0 P0] [--p1 P1]
+                  [--p P] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --utility {kl,tv,chi2,mi}
+  --eps EPS
+  --p0 P0
+  --p1 P1
+  --p P
+  --out OUT
+""",
+        "check": """\
+usage: ldpopt check [-h] [--eps EPS] [--delta DELTA] [--p0 P0] [--p1 P1]
+                    [--p P]
+                    mechanism
+
+positional arguments:
+  mechanism
+
+options:
+  -h, --help     show this help message and exit
+  --eps EPS
+  --delta DELTA
+  --p0 P0
+  --p1 P1
+  --p P
+""",
+        "region": """\
+usage: ldpopt region [-h] [--mech MECH] [--x0 X0] [--x1 X1] [--eps EPS]
+                     [--delta DELTA] [--out OUT]
+
+options:
+  -h, --help     show this help message and exit
+  --mech MECH
+  --x0 X0
+  --x1 X1
+  --eps EPS
+  --delta DELTA
+  --out OUT
+""",
+        "sweep": """\
+usage: ldpopt sweep [-h] [--config CONFIG] [--seed SEED] [--k K]
+                    [--num-instances NUM_INSTANCES] [--eps-grid EPS_GRID]
+                    [--utility {kl,tv,chi2,mi}] [--mechanisms MECHANISMS]
+                    [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON file with the sweep configuration
+  --seed SEED
+  --k K
+  --num-instances NUM_INSTANCES
+  --eps-grid EPS_GRID
+  --utility {kl,tv,chi2,mi}
+  --mechanisms MECHANISMS
+  --out OUT
+""",
+        "exponent": """\
+usage: ldpopt exponent [-h] --p0 P0 --p1 P1 [--eps EPS]
+                       [--mechanism {binary,rr}] [--mech MECH] [--n N]
+                       [--trials TRIALS] [--alpha ALPHA] [--seed SEED]
+
+options:
+  -h, --help            show this help message and exit
+  --p0 P0
+  --p1 P1
+  --eps EPS
+  --mechanism {binary,rr}
+  --mech MECH
+  --n N
+  --trials TRIALS
+  --alpha ALPHA
+  --seed SEED
+""",
+    }
+
+    @pinned_versions
+    @pytest.mark.parametrize("command", list(HELP))
+    def test_help_text(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [] if command == "ldpopt" else [command]
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr() == (self.HELP[command], "")
 
 
 class TestConsoleEntryPoint:

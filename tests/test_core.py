@@ -84,6 +84,12 @@ class TestMakeDistribution:
         assert L.make_distribution([0.2, 0.8]).is_positive
         assert not L.Distribution(np.array([0.0, 1.0])).is_positive
 
+    @pytest.mark.parametrize("probs", [[1.0], [[0.5, 0.5], [0.5, 0.5]]])
+    def test_constructor_rejects_shape(self, probs):
+        with pytest.raises(L.DimensionMismatch,
+                           match="^distribution needs at least 2 outcomes$"):
+            L.Distribution(np.array(probs))
+
 
 class TestMechanismValidation:
     def test_rejects_negative(self):
@@ -93,6 +99,19 @@ class TestMechanismValidation:
     def test_rejects_bad_row_sum(self):
         with pytest.raises(L.NotNormalizable):
             L.Mechanism(np.array([[0.6, 0.5], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize("rows", [np.ones((1, 1, 2)), np.empty((0, 2)),
+                                      np.empty((2, 0))])
+    def test_rejects_shape(self, rows):
+        with pytest.raises(L.DimensionMismatch, match="^mechanism must be a 2-d matrix$"):
+            L.Mechanism(rows)
+
+    def test_equality_is_on_rows(self):
+        Q = L.randomized_response(3, 1.0)
+        assert Q == L.Mechanism(Q.rows.copy())
+        assert Q != L.randomized_response(3, 2.0)
+        assert Q != L.Mechanism(Q.rows[:, :2] / Q.rows[:, :2].sum(axis=1, keepdims=True))
+        assert Q != Q.rows
 
     def test_immutable(self):
         Q = L.randomized_response(3, 1.0)

@@ -8,6 +8,11 @@ from ldpopt.core import MAX_EPS
 
 
 class TestPartitions:
+    def test_ht_partition_priors_share_an_alphabet(self):
+        with pytest.raises(L.DimensionMismatch, match="^priors must share an alphabet$"):
+            L.ht_partition(L.make_distribution([0.5, 0.5]),
+                           L.make_distribution([0.2, 0.3, 0.5]))
+
     def test_ht_partition_uses_geq(self):
         P = L.make_distribution([0.5, 0.5])
         split = L.ht_partition(P, P)
@@ -147,6 +152,10 @@ class TestGeometric:
     def test_rejects_eps0(self):
         with pytest.raises(ValueError):
             L.geometric(4, 0.0)
+
+    def test_rejects_k1(self):
+        with pytest.raises(ValueError, match="^k must be >= 2$"):
+            L.geometric(1, 1.0)
 
 
 class TestQuaternary:

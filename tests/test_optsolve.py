@@ -688,6 +688,14 @@ class TestStartCache:
 
 
 class TestSimplexBreakdown:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_cost(self, bad):
+        cost = np.zeros(8)
+        cost[5] = bad
+        with pytest.raises(L.NumericalBreakdown,
+                           match="^a column score is not finite at this eps$"):
+            L.solve(L.StaircaseLP(k=3, eps=1.0, cost=cost))
+
     def test_certificate_tests_masses(self, monkeypatch):
         # At eps = 30 the basis {1, 3, 5} solves S_B theta = 1 exactly with
         # the masses (-1, 1, 1). Its weight -1 / e^30, about -9e-14, is
@@ -776,6 +784,18 @@ class TestDomainProbe:
 
 
 class TestExtract:
+    def test_needs_a_column_with_mass(self):
+        # At eps = 1 each of these columns has largest entry e, so each
+        # carries a mass of EXTRACT_TOL / 2, which extraction drops.
+        spec = _random_specs(np.random.default_rng(33), 3)[0]
+        lp = L.build_lp(spec, 1.0)
+        theta = np.zeros(lp.num_columns)
+        theta[[1, 2, 4]] = optsolve.EXTRACT_TOL / (2.0 * math.e)
+        sol = L.LPSolution(theta=theta, value=0.0, basis=(1, 2, 4))
+        with pytest.raises(L.DegenerateBasis,
+                           match="^no basis column carries mass above EXTRACT_TOL$"):
+            L.extract_mechanism(sol, lp)
+
     def test_eps0_single_column(self):
         specs = [L.hypothesis_testing(L.KL, L.make_distribution([0.7, 0.3]),
                                       L.make_distribution([0.3, 0.7])),

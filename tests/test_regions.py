@@ -47,6 +47,22 @@ class TestTradeoffRegion:
         with pytest.raises(L.DimensionMismatch):
             L.tradeoff_region(L.Mechanism(np.eye(2)), 1, 1)
 
+    @pytest.mark.parametrize("vertices, message", [
+        ((), "region needs at least one vertex"),
+        (((0.0, 1.0), (1.5, 0.0)), "vertices must lie in the unit square"),
+        (((0.0, 1.0), (0.0, 0.5), (1.0, 0.0)), "p_md must be strictly increasing"),
+        (((0.0, 1.0), (0.5, 1.0), (1.0, 0.0)), "p_fa must be strictly decreasing"),
+        (((0.1, 1.0), (1.0, 0.0)), "boundary must start at p_md=0 and end at p_fa=0"),
+    ])
+    def test_rejects_vertices(self, vertices, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            L.TradeoffRegion(vertices)
+
+    def test_marginals_share_an_alphabet(self):
+        with pytest.raises(L.DimensionMismatch, match="^marginals must share an alphabet$"):
+            L.region_from_marginals(L.make_distribution([0.5, 0.5]),
+                                    L.make_distribution([0.2, 0.3, 0.5]))
+
 
 class TestRegionEpsDelta:
     def test_eps0_delta0_diagonal(self):

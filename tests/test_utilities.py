@@ -302,3 +302,26 @@ class TestUtilitySpecRejects:
     def test_names_what_is_wrong(self, fields, error, message):
         with pytest.raises(error, match=message):
             L.UtilitySpec(**fields)
+
+
+_SPEC = L.information_preservation(_P)
+
+
+class TestSizeRejects:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: L.f_divergence(L.KL, L.make_distribution([0.5, 0.5]), _P),
+         L.DimensionMismatch, "^marginals must share an alphabet$"),
+        (lambda: L.mutual_information(_P, L.randomized_response(2, 1.0)),
+         L.DimensionMismatch, "^P has k=3 but Q has k=2$"),
+        (lambda: L.column_utility(_SPEC, [0.5, 0.5]), L.DimensionMismatch,
+         "^column must have length 3$"),
+        (lambda: L.column_utility(_SPEC, [[0.5], [0.5], [0.5]]), L.DimensionMismatch,
+         "^column must have length 3$"),
+        (lambda: L.column_utility(_SPEC, [0.5, -0.1, 0.5]), ValueError,
+         "^column entries must be nonnegative$"),
+        (lambda: L.utility(_SPEC, L.randomized_response(2, 1.0)), L.DimensionMismatch,
+         "^spec has k=3 but Q has k=2$"),
+    ])
+    def test_names_what_is_wrong(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
