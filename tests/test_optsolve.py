@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -11,6 +12,27 @@ from ldpopt import optsolve
 from ldpopt.cli import _instance_priors
 from ldpopt.core import MAX_EPS, pattern_index
 from ldpopt.optsolve import CERT_NEG_TOL, PIVOT_TOL, _lp_start, _run_simplex
+
+
+# (dtype, shape, SHA-256 of the bytes) of each array of _oracle_bases(k).
+ORACLE_TABLE_PINS = {
+    2: [("<i8", (2, 5), "5fd8740f5a7fed9390abfa9202c19a67986916bfb504cf6fc221a7fa6665abe3"),
+        ("<f8", (2, 5), "624e337f37134ffedb9dc6f124c72e4b1f58e6b7234cacca5c347278239074c7"),
+        ("<f8", (5,), "b3522ed5d4e180d595848f0f99d246f80be5bc9c794134f07f5d06ec2c6378ae"),
+        ("<f8", (5,), "a0770d790846303c3e86953e0158369e6c61944286d690745e0fdfe0a505d474")],
+    3: [("<i8", (3, 44), "2b5ab2c81b487077df054517d7a200f3ff41bb0d6b61aa8958d4c9d7115ac96e"),
+        ("<f8", (3, 44), "503c2a47047221a360a937b22f23f9968b63fcd2bd30f1893cb971740933d8ab"),
+        ("<f8", (44,), "56c0c8d413c4f450254d344b82111cd5ca2d0a061761887ad940925064cf0838"),
+        ("<f8", (44,), "65eb86319d10dea851583075e2e83231ea606ff5fb0971cacde55dd7b1ce0d7a")],
+    4: [("<i8", (4, 1336), "b1d9cac1b225dfb334d37d9ec0cacc5d79a35884b46b51d864ec22e9d8e3d82c"),
+        ("<f8", (4, 1336), "b78c1bfd2b5e5c72ac1623d93bbe3f28ad264d7d81426a6084c0b895dbcb843a"),
+        ("<f8", (1336,), "830359286c244ab5b63581c71cc7d0f4ff24d2091f40ef6710adc6cad3b192f6"),
+        ("<f8", (1336,), "1da88f9e64f500afcb02412088bfab5b0a9bd7a34d698c638a932ab6715fb6e3")],
+    5: [("<i8", (5, 140856), "79d4e21effcdb5d82c8db14d414ee98d0fa8fcc463291c2e59b8ef10625048ea"),
+        ("<f8", (5, 140856), "1355e1eb4fc0fde7e95e36b44c4e4f3790283c14191e39a13e5cd9979d3c4da5"),
+        ("<f8", (140856,), "a3e6a623a99e31c40ee046a3f2fa5503c72201dda7ec20cdfe2a440b934d8bb4"),
+        ("<f8", (140856,), "72c3f46a139cb946ccf668c7244845ca35882df9863d41efeb84260381853f49")],
+}
 
 
 def _random_specs(rng, k):
@@ -965,6 +987,15 @@ class TestVertexOracle:
         spec = L.information_preservation(L.Distribution(np.full(6, 1 / 6)))
         with pytest.raises(L.AlphabetTooLarge):
             L.vertex_oracle(L.build_lp(spec, 1.0))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_table_bytes_pinned(self, k):
+        # The value tests compare to 1e-8; this pins every byte of the
+        # eps-free table (columns, cofactors, C1 + C2, C2) and its dtypes.
+        table = optsolve._oracle_bases(k)
+        got = [(a.dtype.str, a.shape, hashlib.sha256(a.tobytes()).hexdigest())
+               for a in table]
+        assert got == ORACLE_TABLE_PINS[k]
 
 
 @functools.cache
