@@ -11,9 +11,8 @@ from .utilities import (CHI2, KL, TV, AbsoluteContinuityViolated,
                         entropy, f_divergence, hypothesis_testing,
                         information_preservation, mutual_information,
                         column_scores, column_utility, utility)
-from .mechanisms import (PartitionSet, binary_ht, binary_mi, geometric,
-                         ht_partition, mi_partition, quaternary,
-                         randomized_response)
+from .mechanisms import (binary_ht, binary_mi, geometric, ht_partition, mi_partition,
+                         quaternary, randomized_response)
 from .optsolve import (DegenerateBasis, LPSolution, NumericalBreakdown, StaircaseLP,
                        build_lp, build_lps, extract_mechanism, solve, vertex_oracle)
 from .regions import (TradeoffRegion, contains, operational_privacy_check,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionMismatch, Distribution, Mechanism, exp_eps, induced_marginal
-from .mechanisms import ht_partition, mi_partition, split_bits, staircase_value
+from .mechanisms import ht_partition, mi_partition, staircase_value
 from .optsolve import build_lp, solve
 from .utilities import (KL, TV, UtilitySpec, entropy, f_divergence, hypothesis_testing,
                         information_preservation, mutual_information, pattern_scores)
@@ -49,7 +49,7 @@ def _require_pair(P0: Distribution, P1: Distribution) -> None:
 
 def _named_value(spec: UtilitySpec, bits: np.ndarray, eps: float) -> float:
     """Utility of the staircase of a bit matrix (np.eye(k) for randomized
-    response, `split_bits` for a split) from its `pattern_scores`."""
+    response, or a split's [1_T, 1_T^c]) from its `pattern_scores`."""
     exp_eps(eps)
     delta = math.expm1(eps)
     return float(staircase_value(pattern_scores(spec, bits, delta), delta))
@@ -58,7 +58,7 @@ def _named_value(spec: UtilitySpec, bits: np.ndarray, eps: float) -> float:
 def binary_kl_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
     """Exact KL divergence of the induced marginals under the two-output split."""
     spec = hypothesis_testing(KL, P0, P1)
-    return _named_value(spec, split_bits(ht_partition(P0, P1), P0.k), eps)
+    return _named_value(spec, ht_partition(P0, P1), eps)
 
 
 def rr_kl_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
@@ -76,7 +76,7 @@ def binary_tv_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
 def binary_mi_closed(P: Distribution, eps: float) -> float:
     """Exact mutual information of the two-output information split."""
     spec = information_preservation(P)
-    return _named_value(spec, split_bits(mi_partition(P), P.k), eps)
+    return _named_value(spec, mi_partition(P), eps)
 
 
 def rr_mi_closed(P: Distribution, eps: float) -> float:
@@ -138,7 +138,7 @@ def mi_converse_suite(P: Distribution, Q: Mechanism, eps: float) -> list[BoundRe
     exp_eps(eps)
     mi = mutual_information(P, Q)
     h = entropy(P)
-    t = mi_partition(P).mass
+    t = P.mass(np.flatnonzero(mi_partition(P)[:, 0]))
     lead = 0.5 * t * (1 - t) * eps**2
     low = h - (P.k - 1) * eps * math.exp(-eps)
     reports = [
@@ -186,8 +186,8 @@ def marginal_ratio_bounds(P0: Distribution, P1: Distribution, Q: Mechanism,
     if P0.k != Q.k:
         raise DimensionMismatch("priors and mechanism disagree on k")
     e = exp_eps(eps)
-    split = ht_partition(P0, P1)
-    t0, t1 = split.mass, P1.mass(split.members)
+    T = np.flatnonzero(ht_partition(P0, P1)[:, 0])
+    t0, t1 = P0.mass(T), P1.mass(T)
     upper = ((e - 1) * t0 + 1) / ((e - 1) * t1 + 1)
     lower = ((e - 1) * (1 - t0) + 1) / ((e - 1) * (1 - t1) + 1)
     m0 = induced_marginal(P0, Q).probs

@@ -25,7 +25,7 @@ from .core import (MAX_EPS, MAX_LP_K, Distribution, Mechanism, effective_epsilon
                    is_staircase, make_distribution, mechanism_from_json,
                    mechanism_to_json, pattern_index)
 from .mechanisms import (binary_ht, binary_mi, geometric, ht_partition, mi_partition,
-                         quaternary, randomized_response, split_bits, staircase_value)
+                         quaternary, randomized_response, staircase_value)
 from .optsolve import (LP_CACHE_SIZE, DegenerateBasis, NumericalBreakdown,
                        build_lp, build_lps, extract_mechanism, solve)
 from .regions import region_eps_delta, tradeoff_region
@@ -177,7 +177,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
         spec = _instance_priors(cfg, instance_id)
         split = (mi_partition(spec.p) if spec.objective == "mi"
                  else ht_partition(spec.p0, spec.p1))
-        split_cols = pattern_index(split_bits(split, k))
+        split_cols = pattern_index(split)
         cost, lps = build_lps(spec, cfg.eps_grid)
         binary = staircase_value(cost[:, split_cols], delta).tolist()
         rr = staircase_value(cost[:, rr_cols], delta).tolist()
@@ -343,6 +343,10 @@ def cmd_check(args) -> int:
     delta = args.delta if args.delta is not None else (record.delta_claimed or 0.0)
     if eps is not None:
         exp_eps(eps, delta)
+    else:
+        for flag in (*PRIOR_FLAGS, "--delta"):
+            if getattr(args, flag[2:]) is not None:
+                raise ValueError(f"{flag} needs an eps: --eps or the file's eps_claimed")
     print(f"k={Q.k} l={Q.l}")
     print(f"effective_epsilon={_fmt(effective_epsilon(Q))}")
     ok = True
@@ -354,9 +358,9 @@ def cmd_check(args) -> int:
         print(f"is_approx_private(eps={_fmt(eps)}, delta={_fmt(delta)}): {approx}")
         print(f"is_staircase(eps={_fmt(eps)}): {stair}")
         ok = approx if delta > 0 else pure
-        if args.p0 or args.p1:
+        if args.p0 is not None or args.p1 is not None:
             reports = converse_suite(_prior(args, "p0"), _prior(args, "p1"), Q, eps)
-        elif args.p:
+        elif args.p is not None:
             reports = mi_converse_suite(_prior(args, "p"), Q, eps)
         else:
             reports = []

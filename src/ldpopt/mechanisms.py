@@ -11,7 +11,6 @@ k x n bit matrix B, the identity or [1_T, 1_T^c]: output y is the scaled
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,31 +21,18 @@ from .core import (MAX_SUBSET_K, AlphabetTooLarge, DimensionMismatch, Distributi
 TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PartitionSet:
-    """A subset of input indices (0-based) and its mass under the defining prior."""
-
-    members: tuple[int, ...]
-    mass: float
-
-
-def split_bits(split: PartitionSet, k: int) -> np.ndarray:
-    """The k x 2 bit matrix [1_T, 1_T^c] of a split T."""
-    bits = np.array([(0.0, 1.0)] * k)
-    bits[list(split.members)] = (1.0, 0.0)
-    return bits
-
-
-def ht_partition(P0: Distribution, P1: Distribution) -> PartitionSet:
-    """The split {x : P0(x) >= P1(x)}, which maximizes P0(A) - P1(A)."""
+def ht_partition(P0: Distribution, P1: Distribution) -> np.ndarray:
+    """The k x 2 bit matrix [1_T, 1_T^c] of the split T = {x : P0(x) >= P1(x)},
+    which maximizes P0(T) - P1(T)."""
     if P0.k != P1.k:
         raise DimensionMismatch("priors must share an alphabet")
-    members = tuple(int(i) for i in np.flatnonzero(P0.probs >= P1.probs))
-    return PartitionSet(members=members, mass=P0.mass(members))
+    t = P0.probs >= P1.probs
+    return np.column_stack([t, ~t]).astype(float)
 
 
-def mi_partition(P: Distribution) -> PartitionSet:
-    """Exhaustive search for the subset whose mass is closest to 1/2.
+def mi_partition(P: Distribution) -> np.ndarray:
+    """The k x 2 bit matrix [1_T, 1_T^c] of the subset T whose mass is
+    closest to 1/2, found by exhaustive search.
 
     Ties (within TIE_TOL of the best gap) are broken by smallest
     cardinality, then lexicographic member order, so the choice is
@@ -67,8 +53,8 @@ def mi_partition(P: Distribution) -> PartitionSet:
         return (len(members), members)
 
     winner = min((int(m) for m in candidates), key=sort_key)
-    members = tuple(i for i in range(k) if (winner >> i) & 1)
-    return PartitionSet(members=members, mass=float(masses[winner]))
+    t = ((winner >> np.arange(k)) & 1).astype(bool)
+    return np.column_stack([t, ~t]).astype(float)
 
 
 def _staircase(bits: np.ndarray, eps: float) -> Mechanism:
@@ -96,7 +82,7 @@ def binary_ht(P0: Distribution, P1: Distribution, eps: float) -> Mechanism:
     1/(1+e^eps) elsewhere; output 1 complements. Saturates the eps
     constraint and is a staircase for every eps.
     """
-    return _staircase(split_bits(ht_partition(P0, P1), P0.k), eps)
+    return _staircase(ht_partition(P0, P1), eps)
 
 
 def binary_mi(P: Distribution, eps: float) -> Mechanism:
@@ -105,7 +91,7 @@ def binary_mi(P: Distribution, eps: float) -> Mechanism:
     The split set is chosen by exhaustive search to bring its mass as close
     to 1/2 as possible (deterministic tie-breaking; see mi_partition).
     """
-    return _staircase(split_bits(mi_partition(P), P.k), eps)
+    return _staircase(mi_partition(P), eps)
 
 
 def randomized_response(k: int, eps: float) -> Mechanism:

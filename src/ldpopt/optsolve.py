@@ -21,13 +21,13 @@ An LP is (k, eps) and its costs; `core.pattern_matrix` writes its columns.
 The costs come from the prior masses on the eps-free bit matrix
 (`utilities.pattern_scores`), and they are the only part of the LP that
 depends on the priors; `build_lps` scores a whole eps grid from one set
-of masses, and `build_lp` is its one-eps case. The
-bit-difference rows are cached per k and the rest of the prior-free part
-per (k, eps) (_lp_start), so solves at a repeated eps build none of it.
-The certificate and the extraction build just the basis columns.
+of masses, and `build_lp` is its one-eps case. The prior-free part is
+cached per (k, eps) (_lp_start), so solves at a repeated eps build none
+of it. The certificate and the extraction build just the basis columns.
 The oracle solves its bases by Cramer's rule: in these rows a basis's
-row-0 cofactors are integer minors of the bit differences, so they and the
-basis's determinant, up to one eps-dependent term, are cached per k.
+row-0 cofactors are its own (k - 1)-minors in the integer bit-difference
+rows, so they and the basis's determinant, up to one eps-dependent term,
+are cached per k.
 The simplex keeps only the k x k inverse of its basis with the dual row
 y = c_B B^-1 under it, and moves y with the inverse's own row operations,
 as the zeroth row of a tableau moves (Bertsimas and Tsitsiklis,
@@ -247,15 +247,6 @@ def _run_simplex(A: np.ndarray, Binv: np.ndarray, basis: np.ndarray,
     return pivots
 
 
-@functools.cache
-def _bit_differences(k: int) -> np.ndarray:
-    """The eps-free rows bits_x - bits_0, x = 1 .. k - 1, read-only."""
-    bits = _pattern_bits(k)
-    rows = bits[1:] - bits[0]
-    rows.flags.writeable = False
-    return rows
-
-
 @functools.lru_cache(maxsize=LP_CACHE_SIZE)
 def _lp_start(k: int, eps: float) -> tuple[np.ndarray, ...]:
     """The prior-free part of solve at (k, eps), computed once per (k, eps)
@@ -263,16 +254,18 @@ def _lp_start(k: int, eps: float) -> tuple[np.ndarray, ...]:
     randomized-response basis with its inverse in A.
 
     s_j is column j's largest entry: 1 for the all-ones column 0 and
-    1 + delta for every other column, and row 0 of A is row 0 of the
-    pattern matrix over s. Only solve uses these rows; the vertex oracle
-    needs just the bit differences. The randomized-response basis is the
-    one-bit patterns; its condition number is at most 13 (k <= 12), so an
-    explicit inverse is accurate. solve copies the basis, which the
+    1 + delta for every other column; row 0 of A is row 0 of the pattern
+    matrix over s, and rows 1 .. k - 1 are the bit differences
+    bits_x - bits_0. Only solve uses these rows; the vertex oracle takes
+    its own bit differences once per k. The randomized-response basis is
+    the one-bit patterns; its condition number is at most 13 (k <= 12), so
+    an explicit inverse is accurate. solve copies the basis, which the
     simplex updates; the simplex only reads the inverse.
     """
     scale = np.full(2**k, math.expm1(eps) + 1.0)
     scale[0] = 1.0
-    A = np.vstack([pattern_matrix(k, eps)[0] / scale, _bit_differences(k)])
+    bits = _pattern_bits(k)
+    A = np.vstack([pattern_matrix(k, eps)[0] / scale, bits[1:] - bits[0]])
     basis = pattern_index(np.eye(k))
     start = (A, scale, basis, np.linalg.inv(A[:, basis]))
     for arr in start:
@@ -353,27 +346,22 @@ def _oracle_bases(k: int) -> tuple[np.ndarray, ...]:
     Returns the k x m basis columns, the k x m row-0 cofactors of M, and
     per basis C1 + C2 and C2, where C1 and C2 sum the cofactors over the
     basis columns whose row-0 entry is 1 and 1 / s. Rows 1 .. k - 1 of M
-    are integer bit differences, so each cofactor is +-1 times the
-    determinant of k - 1 columns of them; each such minor is computed once,
-    stored at the colex rank of its columns, and shared by the bases that
-    contain those columns. A basis with C1 = C2 = 0 has det M = 0 at every
-    eps and is dropped.
+    are integer bit differences, so the cofactor of basis position i is
+    (-1)^i times the determinant of the basis's other k - 1 columns in
+    those rows, rounded to its integer. A basis with C1 = C2 = 0 has
+    det M = 0 at every eps and is dropped.
     """
     n = 2**k
-    subsets = _combinations(n, k).T
-    minor_cols = _combinations(n, k - 1)
-    binom = np.array([[math.comb(a, i) for a in range(n)] for i in range(k + 1)])
-    minors = np.empty(len(minor_cols))
-    minors[binom[np.arange(1, k)[:, None], minor_cols.T].sum(axis=0)] = np.rint(
-        np.linalg.det(_bit_differences(k)[:, minor_cols].transpose(1, 0, 2)))
-    # Dropping column i of a basis leaves the columns before it in place,
-    # adding C(a, i + 1) to the rank, and moves those after it down one,
-    # adding C(a, i).
-    i = np.arange(k)[:, None]
-    stay, shift = binom[i + 1, subsets], binom[i, subsets]
-    rank = stay.cumsum(axis=0) - stay + shift[::-1].cumsum(axis=0)[::-1] - shift
-    cofactors = minors[rank]
+    bits = _pattern_bits(k)
+    diffs = bits[1:] - bits[0]
+    bases = _combinations(n, k)
+    others = np.array([[j for j in range(k) if j != i] for i in range(k)])
+    # Blocks of 4,096 bases hold the k = 5 minor stack to a few MB, not 130.
+    minors = [np.linalg.det(diffs[:, bases[i:i + 4096, others]].transpose(2, 1, 0, 3))
+              for i in range(0, len(bases), 4096)]
+    cofactors = np.rint(np.concatenate(minors, axis=1))
     cofactors[1::2] *= -1.0
+    subsets = bases.T
     total = cofactors.sum(axis=0)
     c2 = np.where((subsets == 0) | (subsets >= n // 2), 0.0, cofactors).sum(axis=0)
     keep = (total != 0) | (c2 != 0)

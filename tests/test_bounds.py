@@ -150,8 +150,8 @@ class TestClosedFormPrecision:
             rng = np.random.default_rng([31, k, i])
             p0 = L.make_distribution(rng.dirichlet(np.ones(k)))
             p1 = L.make_distribution(rng.dirichlet(np.ones(k)))
-            ht_split = L.ht_partition(p0, p1).members
-            mi_split = L.mi_partition(p0).members
+            ht_split = np.flatnonzero(L.ht_partition(p0, p1)[:, 0]).tolist()
+            mi_split = np.flatnonzero(L.mi_partition(p0)[:, 0]).tolist()
             for eps in (1e-8, 1e-6, 1e-4, 1e-2):
                 with mp.workdps(60):
                     q0, q1 = _mp_normalized(mp, p0), _mp_normalized(mp, p1)
@@ -240,7 +240,7 @@ class TestConverseSuite:
             kl_scale = (k - 1) * kl + float((p0.probs / p1.probs).sum()) - k
             h = L.entropy(p)
             mi_scale = (k - 1) + float(np.log(p.probs).sum()) + k * h
-            t = L.mi_partition(p).mass
+            t = p.mass(np.flatnonzero(L.mi_partition(p)[:, 0]))
             for eps in (0.0, 0.01, 1.0, 10.0, 30.0):
                 e, tail = math.exp(eps), math.exp(-eps)
                 kl_lead = (e - 1) * ((e - 1) / (e + 1)) * tv**2
@@ -375,8 +375,8 @@ class TestMarginalRatioBounds:
             assert report.satisfied
             # both outputs sit exactly on the two bounds
             e = math.exp(eps)
-            split = L.ht_partition(p0, p1)
-            t0, t1 = split.mass, p1.mass(split.members)
+            T = np.flatnonzero(L.ht_partition(p0, p1)[:, 0])
+            t0, t1 = p0.mass(T), p1.mass(T)
             m0 = L.induced_marginal(p0, B).probs
             m1 = L.induced_marginal(p1, B).probs
             upper = ((e - 1) * t0 + 1) / ((e - 1) * t1 + 1)

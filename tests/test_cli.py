@@ -225,6 +225,32 @@ bound rr-mi-low-privacy-residual: lhs=0.395151865773 rhs=9.5977481033 satisfied=
         assert captured.out == want[:want.index("bound ")]
         assert captured.err == f"error: missing {missing}\n"
 
+    @pytest.mark.parametrize("flags", [["--p", ""], ["--p0", "", "--p1", "0.3,0.7"],
+                                       ["--p1", ""]])
+    def test_empty_prior_is_rejected(self, tmp_path, capsys, flags):
+        # An empty prior flag is given, not absent: check parses it and fails
+        # as opt does. test_prior_flags_output pins the output of valid ones.
+        name, Q, _, want = self.PRIOR_OUTPUTS["ht"]
+        path = tmp_path / name
+        path.write_text(L.mechanism_to_json(Q, eps_claimed=0.5, delta_claimed=0.0))
+        assert main(["check", str(path), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == want[:want.index("bound ")]
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--p0", "0.5,0.3,0.2", "--p1", "0.2,0.3,0.5"], ["--p1", "0.2,0.3,0.5"],
+        ["--p", "0.5,0.3,0.2"], ["--delta", "5"], ["--delta", "0"]])
+    def test_flags_that_need_an_eps(self, tmp_path, capsys, flags):
+        # With no --eps and no eps_claimed nothing would read these flags.
+        path = tmp_path / "rr.json"
+        path.write_text(L.mechanism_to_json(L.randomized_response(3, 1.0), None, 0.0))
+        assert main(["check", str(path), *flags]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {flags[0]} needs an eps: --eps or the file's eps_claimed\n")
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr() == ("k=3 l=3\neffective_epsilon=1\n", "")
+
     def test_very_large_eps_reports(self, tmp_path, capsys):
         # (e^eps)^2 exceeds the float range past eps = 354.9.
         path = tmp_path / "rr.json"
@@ -346,12 +372,12 @@ class TestSweepCommand:
                 m = spec.p.probs @ bits
                 size = (m * np.log1p(delta * (1 - m) / (1 + delta * m))
                         + (1 - m) * np.log1p(delta * m) / (1 + delta))
-                split = L.mi_partition(spec.p).members
+                split = np.flatnonzero(L.mi_partition(spec.p)[:, 0]).tolist()
                 Q_old = L.binary_mi(spec.p, eps)
             else:
                 size = (np.abs(lp.cost)
                         + delta / (1 + delta) * ((spec.p0.probs + spec.p1.probs) @ bits))
-                split = L.ht_partition(spec.p0, spec.p1).members
+                split = np.flatnonzero(L.ht_partition(spec.p0, spec.p1)[:, 0]).tolist()
                 Q_old = L.binary_ht(spec.p0, spec.p1, eps)
             if r.mechanism == "rr":
                 read = 1 << (k - 1 - np.arange(k))

@@ -16,21 +16,33 @@ class TestPartitions:
     def test_ht_partition_uses_geq(self):
         P = L.make_distribution([0.5, 0.5])
         split = L.ht_partition(P, P)
-        assert split.members == (0, 1)  # ties resolve into the set
-        assert split.mass == pytest.approx(1.0)
+        T = np.flatnonzero(split[:, 0])
+        assert T.tolist() == [0, 1]  # ties resolve into the set
+        assert P.mass(T) == pytest.approx(1.0)
 
     def test_mi_partition_exact_half(self):
-        split = L.mi_partition(L.make_distribution([0.2, 0.3, 0.5]))
-        assert split.members == (2,)
-        assert split.mass == pytest.approx(0.5)
+        P = L.make_distribution([0.2, 0.3, 0.5])
+        T = np.flatnonzero(L.mi_partition(P)[:, 0])
+        assert T.tolist() == [2]
+        assert P.mass(T) == pytest.approx(0.5)
 
     def test_mi_partition_cardinality_tiebreak(self):
         split = L.mi_partition(L.make_distribution([0.7, 0.2, 0.1]))
-        assert split.members == (0,)
+        assert np.flatnonzero(split[:, 0]).tolist() == [0]
 
     def test_mi_partition_uniform_binary(self):
         split = L.mi_partition(L.make_distribution([0.5, 0.5]))
-        assert split.members == (0,)
+        assert np.flatnonzero(split[:, 0]).tolist() == [0]
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 12])
+    def test_splits_are_complementary_bit_columns(self, k):
+        # A split is the float64 k x 2 bit matrix [1_T, 1_T^c].
+        rng = np.random.default_rng([40, k])
+        p0, p1 = (L.make_distribution(rng.dirichlet(np.ones(k))) for _ in range(2))
+        for split in (L.ht_partition(p0, p1), L.mi_partition(p0)):
+            assert split.dtype == np.float64 and split.shape == (k, 2)
+            assert np.isin(split, (0.0, 1.0)).all()
+            assert (split.sum(axis=1) == 1.0).all()
 
     def test_mi_partition_cap(self):
         with pytest.raises(L.AlphabetTooLarge):

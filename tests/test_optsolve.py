@@ -443,10 +443,10 @@ class TestSolve:
             p1 = L.make_distribution(rng.dirichlet(np.ones(k)))
             if utility == "kl":
                 spec = L.hypothesis_testing(L.KL, p0, p1)
-                split = L.ht_partition(p0, p1).members
+                split = np.flatnonzero(L.ht_partition(p0, p1)[:, 0]).tolist()
             else:
                 spec = L.information_preservation(p0)
-                split = L.mi_partition(p0).members
+                split = np.flatnonzero(L.mi_partition(p0)[:, 0]).tolist()
             for eps in (1e-6, 1e-5, 1e-4, 1e-3):
                 with mp.workdps(60):
                     q0 = [mp.mpf(float(x)) for x in p0.probs]
