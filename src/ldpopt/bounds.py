@@ -20,6 +20,9 @@ from .optsolve import build_lp, solve
 from .utilities import (KL, TV, UtilitySpec, entropy, f_divergence, hypothesis_testing,
                         information_preservation, mutual_information, pattern_scores)
 
+# A report is satisfied with lhs up to this above rhs. It matches
+# PARSE_ROW_SUM_TOL: a mechanism read from a file may be off by that much,
+# which moves the split's marginal ratios, met with equality, by about as much.
 BOUND_TOL = 1e-9
 
 

@@ -51,22 +51,27 @@ def _fmt(v: float) -> str:
 
 
 def _prior(args, name: str) -> Distribution:
-    """The prior given as comma-separated masses in flag --<name>."""
-    text = getattr(args, name)
+    """The prior given as comma-separated masses in flag --<name>; each
+    error it raises starts with the flag."""
+    flag, text = f"--{name}", getattr(args, name)
     if text is None:
-        raise ValueError(f"missing --{name}")
-    return make_distribution([float(t) for t in text.split(",")])
+        raise ValueError(f"missing {flag}")
+    values = _parse_numbers(flag, text)
+    try:
+        return make_distribution(values)
+    except ValueError as exc:
+        raise type(exc)(f"{flag}: {exc}") from None
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
-    """The comma-separated eps values of flag --eps-grid."""
-    grid = []
+def _parse_numbers(flag: str, text: str) -> tuple[float, ...]:
+    """The comma-separated numbers text given to flag."""
+    values = []
     for t in text.split(","):
         try:
-            grid.append(float(t))
+            values.append(float(t))
         except ValueError:
-            raise ValueError(f"--eps-grid: {t!r} is not a number in {text!r}") from None
-    return tuple(grid)
+            raise ValueError(f"{flag}: {t!r} is not a number in {text!r}") from None
+    return tuple(values)
 
 
 # -- sweeps ------------------------------------------------------------------
@@ -398,7 +403,7 @@ def cmd_sweep(args) -> int:
             raise ValueError("--k, --eps-grid and --utility are required without --config")
         cfg = SweepConfig(
             seed=args.seed, k=args.k, num_instances=args.num_instances,
-            eps_grid=_parse_grid(args.eps_grid), utility=args.utility,
+            eps_grid=_parse_numbers("--eps-grid", args.eps_grid), utility=args.utility,
             mechanisms=args.mechanisms.split(",") if args.mechanisms
             else SWEEP_MECHANISMS,
         )

@@ -17,7 +17,9 @@ import numpy as np
 from .core import (MAX_SUBSET_K, AlphabetTooLarge, DimensionMismatch, Distribution,
                    Mechanism, exp_eps)
 
-# Float gaps within this window of the best are treated as tied.
+# Float gaps within this window of the best are treated as tied: a sum of
+# at most MAX_SUBSET_K masses is off by at most 23 u (2.6e-15), so two
+# subsets of equal exact mass always tie.
 TIE_TOL = 1e-12
 
 

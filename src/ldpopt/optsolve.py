@@ -71,6 +71,10 @@ MAX_ORACLE_K = 5
 # (k, eps) pairs of the benchmark's certify workload.
 LP_CACHE_SIZE = 32
 
+# A pivot element at or below this would shrink the basis determinant by
+# that factor, so the next basis's masses could keep only about 6 of 16
+# digits (1e10 u). On the costs scaled to a largest of 1 it is also the
+# relative reduced cost below which a column always enters.
 PIVOT_TOL = 1e-10
 
 # Below -PIVOT_TOL a reduced cost always enters. Above it, a column still
@@ -86,28 +90,30 @@ PIVOT_TOL = 1e-10
 # last improving pivots gain less than it.
 PRICING_NOISE = 4 * np.finfo(float).eps
 
-# solve's feasibility certificate on the original S. S theta holds the
-# mechanism's row sums before normalization, so it gets the wire format's
-# PARSE_ROW_SUM_TOL. Every basic solution passes that, so the sign test
-# reads the masses theta_j * s_j (at eps = 30 a weight of -1e-12 is a mass
-# of -10). They are at most 1 and come from a well conditioned basis, so a
-# mass below -1e-12 marks an infeasible basis, in solve and in the oracle.
+# The feasibility certificate of solve and of the vertex oracle on the
+# original S. S theta holds the mechanism's row sums before normalization,
+# so it gets the wire format's PARSE_ROW_SUM_TOL. Every basic solution
+# passes that, so the sign test reads the masses theta_j * s_j (at eps = 30
+# a weight of -1e-12 is a mass of -10). They are at most 1 and come from a
+# well conditioned basis, so a mass below -1e-12 marks an infeasible basis.
 CERT_NEG_TOL = 1e-12
 
 # Basic columns whose mass theta_j * s_j (s_j the column's largest entry) is
 # below this threshold are pivot noise, not support.
 EXTRACT_TOL = 1e-10
 
+# No solve measured took more than 78 pivots (3,160 LPs at k <= 12: the
+# domain-probe grid and seeded sweeps at k = 6 and 12); 200,000 pivots of
+# 19 us at k = 12 (2-vCPU Xeon, one BLAS thread) stop a cycling solve in 4 s.
 MAX_ITERATIONS = 200_000
 
 # The simplex switches from Dantzig's to Bland's rule after this many
 # degenerate pivots in a row, so it cannot cycle; a step at or below
-# DEGENERATE_STEP in a scaled weight counts as degenerate.
+# DEGENERATE_STEP in a scaled weight counts as degenerate, and ratios
+# within DEGENERATE_STEP (relative, or absolute below 1) of the least tie
+# in the ratio test.
 BLAND_AFTER = 50
 DEGENERATE_STEP = 1e-12
-
-# The oracle's bound on a candidate vertex's residual on the original S.
-ORACLE_RESIDUAL_TOL = 1e-10
 
 
 class NumericalBreakdown(RuntimeError):
@@ -229,7 +235,7 @@ def _run_simplex(A: np.ndarray, Binv: np.ndarray, basis: np.ndarray,
             raise NumericalBreakdown("no admissible pivot in a bounded LP")
         ratios = [x[i] / step[i] for i in rows]
         rmin = min(ratios)
-        cut = rmin + 1e-12 * max(1.0, abs(rmin))
+        cut = rmin + DEGENERATE_STEP * max(1.0, abs(rmin))
         if degenerate >= BLAND_AFTER:
             r = min([i for i, q in zip(rows, ratios) if q <= cut], key=index.__getitem__)
         else:
@@ -256,10 +262,10 @@ def _lp_start(k: int, eps: float) -> tuple[np.ndarray, ...]:
     s_j is column j's largest entry: 1 for the all-ones column 0 and
     1 + delta for every other column; row 0 of A is row 0 of the pattern
     matrix over s, and rows 1 .. k - 1 are the bit differences
-    bits_x - bits_0. Only solve uses these rows; the vertex oracle takes
-    its own bit differences once per k. The randomized-response basis is
-    the one-bit patterns; its condition number is at most 13 (k <= 12), so
-    an explicit inverse is accurate. solve copies the basis, which the
+    bits_x - bits_0. Only solve uses these rows; the vertex oracle reads
+    the scales and takes its own bit differences once per k. The
+    randomized-response basis is the one-bit patterns; its condition
+    number is at most 13 (k <= 12), so an explicit inverse is accurate. solve copies the basis, which the
     simplex updates; the simplex only reads the inverse.
     """
     scale = np.full(2**k, math.expm1(eps) + 1.0)
@@ -379,23 +385,22 @@ def vertex_oracle(lp: StaircaseLP) -> float:
     so its masses theta_j * s_j are column 0 of M^-1: the row-0 cofactors
     over det M = C1 + C2 / s (see _oracle_bases), computed as
     (C1 + C2) - C2 * delta / (1 + delta). No linear system is solved per
-    eps. A candidate must pass ORACLE_RESIDUAL_TOL on the original S and
-    CERT_NEG_TOL on its masses; at an isolated eps where det M vanishes
-    its masses are inf or NaN and fail the residual test.
+    eps. A candidate must pass solve's certificate: PARSE_ROW_SUM_TOL on
+    its residual on the original S, with theta the masses over the column
+    scales of _lp_start, and CERT_NEG_TOL on its masses. At an isolated
+    eps where det M vanishes its masses are inf or NaN and fail the
+    residual test.
     """
     if lp.k > MAX_ORACLE_K:
         raise AlphabetTooLarge(f"vertex oracle is capped at k={MAX_ORACLE_K}")
     cols, cofactors, total, c2 = _oracle_bases(lp.k)
+    scale = _lp_start(lp.k, lp.eps)[1]
     delta = math.expm1(lp.eps)
     with np.errstate(divide="ignore", invalid="ignore"):
         mass = cofactors / (total - c2 * (delta / (1.0 + delta)))
-        # Every column but the all-ones column 0 has largest entry 1 + delta.
-        theta = mass / (1.0 + delta)
-        np.copyto(theta[0], mass[0], where=cols[0] == 0)
+        theta = mass / scale.take(cols)
         fit = np.einsum("xjm,jm->xm", pattern_matrix(lp.k, lp.eps).take(cols, axis=1), theta)
-        # Judge each weight by the mass it puts in its column: e^eps
-        # magnifies a slightly negative weight on an e^eps entry.
-        ok = ((np.abs(fit - 1.0) <= ORACLE_RESIDUAL_TOL).all(axis=0)
+        ok = ((np.abs(fit - 1.0) <= PARSE_ROW_SUM_TOL).all(axis=0)
               & (mass >= -CERT_NEG_TOL).all(axis=0))
     value = np.einsum("jm,jm->m", lp.cost.take(cols[:, ok]), mass[:, ok])
     return float(value.max(initial=-np.inf))

@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, Distribution, Mechanism, exp_eps
+from .core import DEFAULT_RATIO_TOL, DimensionMismatch, Distribution, Mechanism, exp_eps
 
 # Masses below this are treated as zero when classifying likelihood ratios.
 MASS_FLOOR = 1e-15
-
-CONTAIN_TOL = 1e-9
 
 
 def _canonical(points: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
@@ -120,7 +118,7 @@ def region_from_marginals(M0: Distribution, M1: Distribution) -> TradeoffRegion:
 def _same_ratio(r1: float, r2: float) -> bool:
     if math.isinf(r1) or math.isinf(r2):
         return math.isinf(r1) and math.isinf(r2)
-    return abs(r1 - r2) <= 1e-9 * max(1.0, r1, r2)
+    return abs(r1 - r2) <= DEFAULT_RATIO_TOL * max(1.0, r1, r2)
 
 
 def tradeoff_region(Q: Mechanism, x0: int = 0, x1: int = 1) -> TradeoffRegion:
@@ -141,13 +139,13 @@ def region_eps_delta(eps: float, delta: float) -> TradeoffRegion:
 
 def contains(outer: TradeoffRegion, inner: TradeoffRegion) -> bool:
     """True iff inner's boundary lies on or above outer's boundary, to
-    within CONTAIN_TOL.
+    within DEFAULT_RATIO_TOL, the slack of is_approx_private.
 
     Both boundaries are piecewise linear, so checking at the union of their
     vertex abscissae is complete.
     """
     mds = np.union1d(outer.abscissae, inner.abscissae)
-    return bool(np.all(inner.evaluate(mds) >= outer.evaluate(mds) - CONTAIN_TOL))
+    return bool(np.all(inner.evaluate(mds) >= outer.evaluate(mds) - DEFAULT_RATIO_TOL))
 
 
 def operational_privacy_check(Q: Mechanism, eps: float, delta: float) -> bool:

@@ -767,6 +767,94 @@ class TestMissingPrior:
         assert flag in err
 
 
+class TestBadPrior:
+    """Every error raised while parsing a prior flag starts with that flag:
+    exit 1 and one stderr line."""
+
+    @pytest.mark.parametrize("argv, err", [
+        (["opt", "--utility", "kl", "--eps", "1", "--p0", "0.5,x", "--p1", "0.5,0.5"],
+         "--p0: 'x' is not a number in '0.5,x'"),
+        (["opt", "--utility", "kl", "--eps", "1", "--p0", "0.5,0.5", "--p1", "0.5,-0.1"],
+         "--p1: negative probability mass"),
+        (["opt", "--utility", "mi", "--eps", "1", "--p", ""], "--p: '' is not a number in ''"),
+        (["mech", "binary", "--eps", "1", "--p0", "0.5,0.5", "--p1", "1"],
+         "--p1: need at least 2 masses"),
+        (["mech", "binary-mi", "--eps", "1", "--p", "0,0"], "--p: masses sum to 0.0"),
+        (["exponent", "--p0", "0.5,0.5", "--p1", "nan,1"], "--p1: non-finite mass"),
+        (["exponent", "--p0", "1e308,1e308", "--p1", "0.5,0.5"], "--p0: masses sum to inf"),
+    ])
+    def test_error_starts_with_the_flag(self, capsys, argv, err):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    @pytest.mark.parametrize("flags, err", [
+        (["--p0", "0.5,0.5", "--p1", "0.5;0.5"], "--p1: '0.5;0.5' is not a number in '0.5;0.5'"),
+        (["--p0", "2,-1", "--p1", "0.5,0.5"], "--p0: negative probability mass"),
+        (["--p", "1"], "--p: need at least 2 masses"),
+    ])
+    def test_check_names_the_flag(self, tmp_path, capsys, flags, err):
+        path = tmp_path / "rr.json"
+        path.write_text(L.mechanism_to_json(L.randomized_response(2, 1.0), 1.0, 0.0))
+        assert main(["check", str(path), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("k=2 l=2\n")
+        assert captured.err == f"error: {err}\n"
+
+
+class TestOneOutputMechanism:
+    """opt at eps = 0 writes a 2 x 1 mechanism, which every command reads:
+    its region is the diagonal, and every divergence through it is 0."""
+
+    PRIORS = ["--p0", "0.6,0.4", "--p1", "0.3,0.7"]
+
+    @pytest.fixture
+    def path(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        assert main(["opt", "--utility", "kl", "--eps", "0", *self.PRIORS,
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert json.loads(path.read_text())["rows"] == [[1.0], [1.0]]
+        return str(path)
+
+    def test_region(self, path, capsys):
+        assert main(["region", "--mech", path]) == 0
+        assert capsys.readouterr() == ("p_md,p_fa\n0,1\n1,0\n", "")
+
+    def test_check_with_priors(self, path, capsys):
+        assert main(["check", path, *self.PRIORS]) == 0
+        assert capsys.readouterr() == ("""\
+k=2 l=1
+effective_epsilon=0
+is_locally_private(eps=0): True
+is_approx_private(eps=0, delta=0): True
+is_staircase(eps=0): True
+bound pinsker: lhs=0 rhs=0 satisfied=True
+bound duchi-symmetrized-kl: lhs=0 rhs=0 satisfied=True
+bound symmetrized-kl-high-privacy: lhs=0 rhs=0 satisfied=True
+bound rr-kl-low-privacy-residual: lhs=0.133531392625 rhs=10 satisfied=True
+""", "")
+
+    def test_exponent(self, path, capsys):
+        assert main(["exponent", "--mech", path, *self.PRIORS]) == 0
+        assert capsys.readouterr() == (
+            "exponent_estimate=0\nkl_rate=0\nbeta_estimate=1\n", "")
+
+    def test_library(self):
+        Q = L.Mechanism(np.ones((3, 1)))
+        P0 = L.make_distribution([0.5, 0.3, 0.2])
+        P1 = L.make_distribution([0.2, 0.3, 0.5])
+        assert L.induced_marginal(P0, Q) == L.Distribution(np.ones(1))
+        assert L.tradeoff_region(Q, 0, 2).vertices == ((0.0, 1.0), (1.0, 0.0))
+        assert L.operational_privacy_check(L.Mechanism(np.ones((2, 1))), 0.0, 0.0)
+        assert L.marginal_ratio_bounds(P0, P1, Q, 1.0).lhs == 0.0
+        reports = {r.name: r for r in L.converse_suite(P0, P1, Q, 1.0)}
+        assert reports["pinsker"].lhs == reports["pinsker"].rhs == 0.0
+        assert reports["duchi-symmetrized-kl"].lhs == 0.0
+        assert {r.name: r.lhs for r in L.mi_converse_suite(P0, Q, 1.0)}["mi-vs-entropy"] == 0.0
+        r = L.run_exponent_sim(P0, P1, Q, n=200, trials=10, alpha_star=0.05, seed=1)
+        assert (r.exponent, r.kl_rate, r.beta) == (0.0, 0.0, 1.0)
+
+
 class TestParser:
     # The --help text of ldpopt and of each subcommand at 80 columns.
     # argparse's layout changes between Python releases.

@@ -84,11 +84,17 @@ class TestMakeDistribution:
         assert L.make_distribution([0.2, 0.8]).is_positive
         assert not L.Distribution(np.array([0.0, 1.0])).is_positive
 
-    @pytest.mark.parametrize("probs", [[1.0], [[0.5, 0.5], [0.5, 0.5]]])
+    @pytest.mark.parametrize("probs", [[], [[0.5, 0.5], [0.5, 0.5]]])
     def test_constructor_rejects_shape(self, probs):
         with pytest.raises(L.DimensionMismatch,
-                           match="^distribution needs at least 2 outcomes$"):
+                           match="^distribution must be a nonempty 1-d vector$"):
             L.Distribution(np.array(probs))
+
+    def test_constructor_accepts_one_outcome(self):
+        # The marginals of a one-output mechanism; priors still need two.
+        assert L.Distribution(np.array([1.0])).k == 1
+        with pytest.raises(L.DimensionMismatch, match="^need at least 2 masses$"):
+            L.make_distribution([1.0])
 
 
 class TestMechanismValidation:

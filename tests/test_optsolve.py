@@ -779,30 +779,61 @@ def _positive_dirichlet(rng, alpha, k):
             return q
 
 
+# The package's typed errors: the only exceptions a probe case may raise.
+TYPED_ERRORS = (L.NegativeMass, L.NotNormalizable, L.DimensionMismatch,
+                L.AlphabetTooLarge, L.MechanismFormatError, L.AbsoluteContinuityViolated,
+                L.ConvexityViolation, L.NumericalBreakdown, L.DegenerateBasis)
+PROBE_EPS = (0.0, 1e-10, 1e-6, 1e-3, 0.5, 2.0, 8.0, 30.0, 100.0, MAX_EPS)
+
+
+def _probe_case(spec, eps):
+    lp = L.build_lp(spec, eps)
+    sol = L.solve(lp)
+    Q = L.extract_mechanism(sol, lp)
+    assert L.is_locally_private(Q, eps)
+    assert L.utility(spec, Q) == pytest.approx(sol.value, rel=1e-6, abs=1e-14)
+    L.tradeoff_region(Q)  # eps = 0 gives a one-output mechanism
+    if spec.k <= 4:
+        assert optsolve.vertex_oracle(lp) == pytest.approx(sol.value, rel=1e-9, abs=1e-13)
+
+
 class TestDomainProbe:
     # Every prior shape, eps and utility the API accepts either solves to a
-    # private mechanism or raises a typed error; on this grid none raises,
-    # and the pytest RuntimeWarning filter turns an escaping numpy warning
-    # into a failure. Unscaled pattern scores overflow on 13 of these 288
-    # cases, at eps = 700 and MAX_EPS.
-    @pytest.mark.parametrize("k", [2, 3, 5])
+    # private mechanism whose utility and vertex-oracle value match the LP
+    # optimum, or raises a typed error; any other exception fails, and the
+    # pytest RuntimeWarning filter turns an escaping numpy warning into a
+    # failure. On this grid of 1,000 cases no typed error is raised either,
+    # so one that appears is a regression to report: scaling column 0 by
+    # 1 / (1 + delta) like the rest raises NumericalBreakdown on the k = 2
+    # Dirichlet(0.05) pair, KL at eps = 30. The shapes, in order: one mass
+    # 1e-300, one mass 1e-12, two Dirichlet(0.05) draws (at k = 2, P0 is
+    # proportional to (1.08e-24, 1) and P1 to (3.15e-23, 1)), masses 1e-9
+    # apart, and two Dirichlet(1) draws. Two more checks are left out
+    # because KL fails them here (ROADMAP, KL scores of order d^2):
+    # sol.value >= max(binary, RR) up to 1e-12 relative, and sol.value >= 0.
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 12])
     def test_grid(self, k):
-        rng = np.random.default_rng([23, k])
-        tiny0, tiny1 = np.full(k, 1e-12), np.full(k, 1e-12)
-        tiny0[0] = tiny1[-1] = 1.0
-        shapes = [(tiny0, tiny1),
-                  (_positive_dirichlet(rng, 0.05, k), _positive_dirichlet(rng, 0.05, k)),
-                  (np.full(k, 1.0 / k), np.full(k, 1.0 / k) + 1e-9 * np.arange(k)),
-                  (_positive_dirichlet(rng, 1.0, k), _positive_dirichlet(rng, 1.0, k))]
-        for q0, q1 in shapes:
+        rng = np.random.default_rng([2026, k])
+        shapes = []
+        for tiny in (1e-300, 1e-12):
+            q0, q1 = np.ones(k), np.ones(k)
+            q0[0] = q1[-1] = tiny
+            shapes.append((q0, q1))
+        shapes += [(_positive_dirichlet(rng, 0.05, k), _positive_dirichlet(rng, 0.05, k)),
+                   (np.full(k, 1.0 / k), np.full(k, 1.0 / k) + 1e-9 * np.arange(k)),
+                   (_positive_dirichlet(rng, 1.0, k), _positive_dirichlet(rng, 1.0, k))]
+        raised = []
+        for i, (q0, q1) in enumerate(shapes):
             p0, p1 = L.make_distribution(q0), L.make_distribution(q1)
             specs = [L.hypothesis_testing(kind, p0, p1) for kind in (L.KL, L.TV, L.CHI2)]
             for spec in [*specs, L.information_preservation(p0)]:
-                for eps in (0.0, 1e-9, 1.0, 30.0, 700.0, MAX_EPS):
-                    lp = L.build_lp(spec, eps)
-                    Q = L.extract_mechanism(L.solve(lp), lp)
-                    assert math.isfinite(L.utility(spec, Q))
-                    assert L.is_locally_private(Q, eps)
+                for eps in PROBE_EPS:
+                    try:
+                        _probe_case(spec, eps)
+                    except TYPED_ERRORS as exc:
+                        name = spec.objective if spec.objective == "mi" else spec.kind.tag
+                        raised.append(f"shape {i} {name} eps={eps}: {exc!r}")
+        assert not raised
 
 
 class TestExtract:
@@ -982,6 +1013,18 @@ class TestVertexOracle:
                     tol = (16 * k * u * float(sum(map(abs, terms)))
                            + 1e-30 * float(sum(abs(cost[j]) for j in basis)))
                     assert abs(L.vertex_oracle(lp) - float(sum(terms))) <= tol
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_all_ones_column_vertex(self, k):
+        # Column 0 alone is the vertex with mass 1 on it; its scale is 1,
+        # where every other column's is 1 + delta. A cost only column 0
+        # earns makes that vertex the optimum, for the oracle and for solve.
+        cost = np.full(2**k, -1.0)
+        cost[0] = 1.0
+        for eps in (0.5, 8.0, 30.0):
+            lp = optsolve.StaircaseLP(k=k, eps=eps, cost=cost)
+            assert L.vertex_oracle(lp) == pytest.approx(1.0, rel=1e-12)
+            assert L.solve(lp).value == pytest.approx(1.0, rel=1e-12)
 
     def test_cap(self):
         spec = L.information_preservation(L.Distribution(np.full(6, 1 / 6)))
