@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, Distribution, Mechanism, exp_eps, induced_marginal
+from .core import Distribution, Mechanism, exp_eps, induced_marginal
 from .mechanisms import ht_partition, mi_partition, staircase_value
 from .optsolve import build_lp, solve
 from .utilities import (KL, TV, UtilitySpec, entropy, f_divergence, hypothesis_testing,
@@ -43,13 +43,6 @@ class BoundReport:
         return self.rhs - self.lhs
 
 
-def _require_pair(P0: Distribution, P1: Distribution) -> None:
-    if P0.k != P1.k:
-        raise DimensionMismatch("priors must share an alphabet")
-    if not (P0.is_positive and P1.is_positive):
-        raise ValueError("priors must be positive")
-
-
 def _named_value(spec: UtilitySpec, bits: np.ndarray, eps: float) -> float:
     """Utility of the staircase of a bit matrix (np.eye(k) for randomized
     response, or a split's [1_T, 1_T^c]) from its `pattern_scores`."""
@@ -70,10 +63,13 @@ def rr_kl_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
 
 
 def binary_tv_closed(P0: Distribution, P1: Distribution, eps: float) -> float:
-    """Exact (and optimal for every eps) total variation through the split."""
-    _require_pair(P0, P1)
+    """Exact (and optimal for every eps) total variation through the split.
+
+    The analytic (e^eps - 1) / (e^eps + 1) TV, not the split's
+    `pattern_scores`: the LP's TV optima are checked against it."""
+    spec = hypothesis_testing(TV, P0, P1)
     e = exp_eps(eps)
-    return (e - 1) / (e + 1) * f_divergence(TV, P0, P1)
+    return (e - 1) / (e + 1) * f_divergence(TV, spec.p0, spec.p1)
 
 
 def binary_mi_closed(P: Distribution, eps: float) -> float:
@@ -97,7 +93,7 @@ def converse_suite(P0: Distribution, P1: Distribution, Q: Mechanism,
     randomized response's KL less KL(P0||P1) - g e^(-eps), g = sum (1 - P0)
     log(P1/P0), against the e^(-eps) coefficient left, (k-1) KL + sum P0/P1 - k.
     """
-    _require_pair(P0, P1)
+    rr = rr_kl_closed(P0, P1, eps)
     e = exp_eps(eps)
     M0 = induced_marginal(P0, Q)
     M1 = induced_marginal(P1, Q)
@@ -121,7 +117,7 @@ def converse_suite(P0: Distribution, P1: Distribution, Q: Mechanism,
     k, p0, p1 = P0.k, P0.probs, P1.probs
     kl = f_divergence(KL, P0, P1)
     g = float(((1 - p0) * np.log(p1 / p0)).sum())
-    resid = abs(rr_kl_closed(P0, P1, eps) - (kl - g * math.exp(-eps)))
+    resid = abs(rr - (kl - g * math.exp(-eps)))
     tail = (k - 1) * kl + float((p0 / p1).sum()) - k
     reports.append(BoundReport("rr-kl-low-privacy-residual", resid,
                                10.0 * max(1.0, abs(tail)) * math.exp(-eps)))
@@ -134,11 +130,7 @@ def mi_converse_suite(P: Distribution, Q: Mechanism, eps: float) -> list[BoundRe
     The low-privacy residual is randomized response's MI less H(P) - (k-1)
     eps e^(-eps), against the e^(-eps) coefficient left, (k-1) + sum log P + k H(P).
     """
-    if not P.is_positive:
-        raise ValueError("prior must be positive")
-    if P.k != Q.k:
-        raise DimensionMismatch("prior and mechanism disagree on k")
-    exp_eps(eps)
+    rr = rr_mi_closed(P, eps)
     mi = mutual_information(P, Q)
     h = entropy(P)
     t = P.mass(np.flatnonzero(mi_partition(P)[:, 0]))
@@ -152,7 +144,7 @@ def mi_converse_suite(P: Distribution, Q: Mechanism, eps: float) -> list[BoundRe
     if lead > 0:
         ratio = binary_mi_closed(P, eps) / lead
         reports.append(BoundReport("binary-mi-expansion-ratio", abs(ratio - 1.0), 0.05))
-    resid = abs(rr_mi_closed(P, eps) - low)
+    resid = abs(rr - low)
     tail = (P.k - 1) + float(np.log(P.probs).sum()) + P.k * h
     reports.append(BoundReport("rr-mi-low-privacy-residual", resid,
                                10.0 * max(1.0, abs(tail)) * math.exp(-eps)))
@@ -167,12 +159,12 @@ def approximation_checks(spec: UtilitySpec, eps: float) -> BoundReport:
     OPT comes from the LP, so `build_lp`'s alphabet cap applies.
     """
     e = exp_eps(eps)
+    if spec.objective != "mi" and spec.kind.tag != "kl":
+        raise ValueError("approximation guarantee is stated for KL and MI only")
     opt = solve(build_lp(spec, eps)).value
     if spec.objective == "mi":
         bin_value = binary_mi_closed(spec.p, eps)
         return BoundReport("binary-mi-approximation", opt / (1.0 + e), bin_value)
-    if spec.kind.tag != "kl":
-        raise ValueError("approximation guarantee is stated for KL and MI only")
     bin_value = binary_kl_closed(spec.p0, spec.p1, eps)
     return BoundReport("binary-kl-approximation", opt / (e + 1) / (e + 1) / 2.0, bin_value)
 
@@ -185,9 +177,10 @@ def marginal_ratio_bounds(P0: Distribution, P1: Distribution, Q: Mechanism,
     every eps; for other eps-private mechanisms the bounds hold in the high
     privacy regime. Reported as the worst signed violation against 0.
     """
-    _require_pair(P0, P1)
-    if P0.k != Q.k:
-        raise DimensionMismatch("priors and mechanism disagree on k")
+    # Positive priors put M1(y) > 0 wherever M0(y) > 0, so no ratio below
+    # divides by zero; ht_partition and induced_marginal check the sizes.
+    if not (P0.is_positive and P1.is_positive):
+        raise ValueError("priors must be positive")
     e = exp_eps(eps)
     T = np.flatnonzero(ht_partition(P0, P1)[:, 0])
     t0, t1 = P0.mass(T), P1.mass(T)

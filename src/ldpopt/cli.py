@@ -3,7 +3,9 @@ check privacy claims, export error-region boundaries, and run the
 benchmark sweeps and the Chernoff-Stein Monte-Carlo estimate.
 
 Exit codes: 0 success, 1 validation failure (including a solver failure,
-reported with its utility, k and eps, and an allocation failure), 2 I/O error.
+reported with its utility, k and eps, and an allocation failure), 2 I/O
+error or argparse's usage error (a required flag missing, or a flag value of
+the wrong type, printed after the usage line).
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ EXIT_IO = 2
 FDIV_KINDS = {"kl": KL, "tv": TV, "chi2": CHI2}
 UTILITIES = (*FDIV_KINDS, "mi")
 # The priors of a hypothesis test (--p0, --p1) or of mutual information (--p).
-PRIOR_FLAGS = ("--p0", "--p1", "--p")
+HT_PRIORS, MI_PRIORS = ("--p0", "--p1"), ("--p",)
+PRIOR_FLAGS = (*HT_PRIORS, *MI_PRIORS)
 SWEEP_MECHANISMS = ("binary", "rr", "geometric", "optimal", "mixed")
 
 # Instances whose LP optimum is below this are counted as achieving ratio 1.
@@ -61,6 +64,21 @@ def _prior(args, name: str) -> Distribution:
         return make_distribution(values)
     except ValueError as exc:
         raise type(exc)(f"{flag}: {exc}") from None
+
+
+def _reject_given(args, flags, reason: str) -> None:
+    """Raise naming the first of flags that was given, with the reason the
+    command would not read it; handlers call this before any output."""
+    for flag in flags:
+        if getattr(args, flag[2:]) is not None:
+            raise ValueError(f"{flag} {reason}")
+
+
+def _reject_unread_priors(args, command: str, read: tuple[str, ...]) -> None:
+    """Raise naming the first prior flag given that command does not read."""
+    _reject_given(args, [flag for flag in PRIOR_FLAGS if flag not in read],
+                  f"is not read by {command}, which reads "
+                  f"{' and '.join(read) or 'no prior'}")
 
 
 def _parse_numbers(flag: str, text: str) -> tuple[float, ...]:
@@ -305,6 +323,8 @@ def _load_record(path: str):
 
 def cmd_mech(args) -> int:
     eps, delta = args.eps, args.delta
+    read = {"binary": HT_PRIORS, "binary-mi": MI_PRIORS}.get(args.kind, ())
+    _reject_unread_priors(args, f"mech {args.kind}", read)
     if args.kind == "rr":
         Q = randomized_response(args.k, eps)
     elif args.kind == "geometric":
@@ -323,6 +343,8 @@ def cmd_mech(args) -> int:
 
 def cmd_opt(args) -> int:
     kind = args.utility
+    _reject_unread_priors(args, f"opt --utility {kind}",
+                          MI_PRIORS if kind == "mi" else HT_PRIORS)
     if kind == "mi":
         spec = information_preservation(_prior(args, "p"))
     else:
@@ -334,7 +356,7 @@ def cmd_opt(args) -> int:
         Q = extract_mechanism(sol, lp)
     except (ValueError, NumericalBreakdown, DegenerateBasis) as exc:
         raise type(exc)(f"utility={kind} k={spec.k} eps={args.eps}: {exc}") from exc
-    if args.out:
+    if args.out is not None:
         _write_text(args.out, mechanism_to_json(Q, eps_claimed=args.eps,
                                                 delta_claimed=0.0) + "\n")
     print(_fmt(sol.value))
@@ -346,12 +368,13 @@ def cmd_check(args) -> int:
     Q = record.mechanism
     eps = args.eps if args.eps is not None else record.eps_claimed
     delta = args.delta if args.delta is not None else (record.delta_claimed or 0.0)
-    if eps is not None:
-        exp_eps(eps, delta)
+    if eps is None:
+        _reject_given(args, (*PRIOR_FLAGS, "--delta"),
+                      "needs an eps: --eps or the file's eps_claimed")
     else:
-        for flag in (*PRIOR_FLAGS, "--delta"):
-            if getattr(args, flag[2:]) is not None:
-                raise ValueError(f"{flag} needs an eps: --eps or the file's eps_claimed")
+        exp_eps(eps, delta)
+        if args.p0 is not None or args.p1 is not None:
+            _reject_unread_priors(args, "check's hypothesis-testing suite", HT_PRIORS)
     print(f"k={Q.k} l={Q.l}")
     print(f"effective_epsilon={_fmt(effective_epsilon(Q))}")
     ok = True
@@ -376,7 +399,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_region(args) -> int:
-    if args.mech:
+    if args.mech is not None:
         record = _load_record(args.mech)
         region = tradeoff_region(record.mechanism, args.x0, args.x1)
     else:
@@ -389,7 +412,7 @@ def cmd_region(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.config:
+    if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
@@ -404,12 +427,12 @@ def cmd_sweep(args) -> int:
         cfg = SweepConfig(
             seed=args.seed, k=args.k, num_instances=args.num_instances,
             eps_grid=_parse_numbers("--eps-grid", args.eps_grid), utility=args.utility,
-            mechanisms=args.mechanisms.split(",") if args.mechanisms
-            else SWEEP_MECHANISMS,
+            mechanisms=SWEEP_MECHANISMS if args.mechanisms is None
+            else args.mechanisms.split(","),
         )
         out_path = None
     rows = run_sweep(cfg)
-    _write_text(args.out or out_path, sweep_csv(rows))
+    _write_text(out_path if args.out is None else args.out, sweep_csv(rows))
     print(sweep_summary(rows))
     return EXIT_OK
 
@@ -417,7 +440,7 @@ def cmd_sweep(args) -> int:
 def cmd_exponent(args) -> int:
     P0 = _prior(args, "p0")
     P1 = _prior(args, "p1")
-    if args.mech:
+    if args.mech is not None:
         Q = _load_record(args.mech).mechanism
     elif args.mechanism == "rr":
         Q = randomized_response(P0.k, args.eps)

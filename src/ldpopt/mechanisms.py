@@ -27,7 +27,7 @@ def ht_partition(P0: Distribution, P1: Distribution) -> np.ndarray:
     """The k x 2 bit matrix [1_T, 1_T^c] of the split T = {x : P0(x) >= P1(x)},
     which maximizes P0(T) - P1(T)."""
     if P0.k != P1.k:
-        raise DimensionMismatch("priors must share an alphabet")
+        raise DimensionMismatch(f"p0 has k={P0.k} but p1 has k={P1.k}")
     t = P0.probs >= P1.probs
     return np.column_stack([t, ~t]).astype(float)
 

@@ -114,7 +114,7 @@ class UtilitySpec:
             if self.kind is None or self.p0 is None or self.p1 is None:
                 raise ValueError("hypothesis-testing spec needs kind, p0 and p1")
             if self.p0.k != self.p1.k:
-                raise DimensionMismatch("p0 and p1 must share an alphabet")
+                raise DimensionMismatch(f"p0 has k={self.p0.k} but p1 has k={self.p1.k}")
             if not (self.p0.is_positive and self.p1.is_positive):
                 raise ValueError("priors must be positive")
         elif self.objective == "mi":
@@ -166,9 +166,7 @@ def mutual_information(P: Distribution, Q: Mechanism) -> float:
 
     Terms with Q(y|x) = 0 contribute zero. The prior must be positive.
     """
-    if P.k != Q.k:
-        raise DimensionMismatch(f"P has k={P.k} but Q has k={Q.k}")
-    return float(column_scores(information_preservation(P), Q.rows).sum())
+    return utility(information_preservation(P), Q)
 
 
 def column_scores(spec: UtilitySpec, C: np.ndarray) -> np.ndarray:
@@ -215,6 +213,8 @@ def column_utility(spec: UtilitySpec, col: np.ndarray) -> float:
     """The sublinear column score mu(Q_y) of one column; see `column_scores`."""
     if np.ndim(col) != 1 or np.size(col) != spec.k:
         raise DimensionMismatch(f"column must have length {spec.k}")
+    if not np.all(np.isfinite(col)):
+        raise ValueError("column entries must be finite")
     if np.any(np.less(col, 0)):
         raise ValueError("column entries must be nonnegative")
     return float(column_scores(spec, np.reshape(col, (-1, 1)))[0])
@@ -223,9 +223,9 @@ def column_utility(spec: UtilitySpec, col: np.ndarray) -> float:
 def utility(spec: UtilitySpec, Q: Mechanism) -> float:
     """U(Q) = sum over columns of the sublinear score.
 
-    Agrees with the direct f_divergence / mutual_information evaluation of
-    the induced marginals.
+    Agrees with the direct f_divergence evaluation of the induced
+    marginals; mutual_information is its information-preservation case.
     """
     if Q.k != spec.k:
-        raise DimensionMismatch(f"spec has k={spec.k} but Q has k={Q.k}")
+        raise DimensionMismatch(f"P has k={spec.k} but Q has k={Q.k}")
     return float(column_scores(spec, Q.rows).sum())

@@ -339,6 +339,20 @@ class TestApproximationChecks:
         with pytest.raises(ValueError):
             L.approximation_checks(L.hypothesis_testing(L.TV, p0, p1), 1.0)
 
+    @pytest.mark.parametrize("kind", [L.TV, L.CHI2])
+    @pytest.mark.parametrize("k", [2, 13])
+    def test_rejects_other_kinds_before_solving(self, monkeypatch, kind, k):
+        # k = 13 is above build_lp's alphabet cap, which would raise first.
+        def no_solve(lp):
+            raise AssertionError("solve was called")
+
+        monkeypatch.setattr("ldpopt.bounds.solve", no_solve)
+        rng = np.random.default_rng([44, k])
+        (p0, p1), = _priors(rng, k, n=1)
+        with pytest.raises(ValueError,
+                           match="^approximation guarantee is stated for KL and MI only$"):
+            L.approximation_checks(L.hypothesis_testing(kind, p0, p1), 1.0)
+
 
 _P2 = L.make_distribution([0.6, 0.4])
 _P3 = L.make_distribution([0.5, 0.3, 0.2])
@@ -349,15 +363,15 @@ _RR3 = L.randomized_response(3, 1.0)
 class TestSuitesReject:
     @pytest.mark.parametrize("call, error, message", [
         (lambda: L.converse_suite(_P2, _P3, _RR3, 1.0), L.DimensionMismatch,
-         "priors must share an alphabet"),
+         "p0 has k=2 but p1 has k=3"),
         (lambda: L.converse_suite(_P3, _ZERO3, _RR3, 1.0), ValueError,
          "priors must be positive"),
         (lambda: L.mi_converse_suite(_ZERO3, _RR3, 1.0), ValueError,
          "prior must be positive"),
         (lambda: L.mi_converse_suite(_P2, _RR3, 1.0), L.DimensionMismatch,
-         "prior and mechanism disagree on k"),
+         "P has k=2 but Q has k=3"),
         (lambda: L.marginal_ratio_bounds(_P2, _P2, _RR3, 1.0), L.DimensionMismatch,
-         "priors and mechanism disagree on k"),
+         "P has k=2 but Q has k=3"),
     ])
     def test_names_what_is_wrong(self, call, error, message):
         with pytest.raises(error, match=f"^{message}$"):

@@ -801,6 +801,81 @@ class TestBadPrior:
         assert captured.err == f"error: {err}\n"
 
 
+class TestEmptyFlagValue:
+    """An optional flag given as "" is given, not absent: a path fails to
+    open (exit 2) and a mechanism list fails validation (exit 1), with no
+    output written."""
+
+    NO_FILE = "error: [Errno 2] No such file or directory: ''\n"
+    SWEEP = ["sweep", "--k", "3", "--num-instances", "1", "--eps-grid", "1",
+             "--utility", "kl"]
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.json").write_text(
+            L.mechanism_to_json(L.randomized_response(2, 1.0), 1.0, 0.0))
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(
+            seed=0, k=3, num_instances=1, eps_grid=[1.0], utility="kl",
+            out_path="c.csv")))
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["opt", "--utility", "mi", "--eps", "1", "--p", "0.5,0.5", "--out", ""], 2, NO_FILE),
+        ([*SWEEP, "--out", ""], 2, NO_FILE),
+        (["sweep", "--config", "cfg.json", "--out", ""], 2, NO_FILE),
+        ([*SWEEP, "--mechanisms", ""], 1,
+         "error: mechanisms must be a list of names from ('binary', 'rr', 'geometric', "
+         "'optimal', 'mixed'), got ['']\n"),
+        (["sweep", "--config", ""], 2, NO_FILE),
+        (["region", "--mech", "", "--eps", "1"], 2, NO_FILE),
+        (["exponent", "--p0", "0.6,0.4", "--p1", "0.4,0.6", "--mech", ""], 2, NO_FILE),
+    ])
+    def test_is_not_read_as_absent(self, workdir, capsys, argv, code, err):
+        assert main(argv) == code
+        assert capsys.readouterr() == ("", err)
+        assert sorted(p.name for p in workdir.iterdir()) == ["cfg.json", "m.json"]
+
+
+class TestUnreadPriorFlag:
+    """A prior flag the command would not read exits 1 with one stderr line
+    naming it, before anything is printed or written."""
+
+    P2, P3 = "0.6,0.4", "0.5,0.3,0.2"
+
+    @pytest.mark.parametrize("argv, err", [
+        (["opt", "--utility", "kl", "--eps", "1", "--p0", P2, "--p1", "0.4,0.6",
+          "--p", P2], "--p is not read by opt --utility kl, which reads --p0 and --p1"),
+        (["opt", "--utility", "mi", "--eps", "1", "--p", P2, "--p0", P2],
+         "--p0 is not read by opt --utility mi, which reads --p"),
+        (["opt", "--utility", "tv", "--eps", "1", "--p", P2],
+         "--p is not read by opt --utility tv, which reads --p0 and --p1"),
+        (["mech", "rr", "--k", "3", "--eps", "1", "--p0", P2],
+         "--p0 is not read by mech rr, which reads no prior"),
+        (["mech", "geometric", "--k", "3", "--eps", "1", "--p", P3],
+         "--p is not read by mech geometric, which reads no prior"),
+        (["mech", "quaternary", "--eps", "1", "--delta", "0.1", "--p1", P2],
+         "--p1 is not read by mech quaternary, which reads no prior"),
+        (["mech", "binary", "--eps", "1", "--p0", P2, "--p1", P2, "--p", P2],
+         "--p is not read by mech binary, which reads --p0 and --p1"),
+        (["mech", "binary-mi", "--eps", "1", "--p", P3, "--p1", P3],
+         "--p1 is not read by mech binary-mi, which reads --p"),
+        (["check", "m.json", "--eps", "1", "--p0", P3, "--p1", P3, "--p", P3],
+         "--p is not read by check's hypothesis-testing suite, which reads --p0 and --p1"),
+        (["check", "m.json", "--p1", P3, "--p", P3],
+         "--p is not read by check's hypothesis-testing suite, which reads --p0 and --p1"),
+    ])
+    def test_one_line_naming_it(self, tmp_path, monkeypatch, capsys, argv, err):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.json").write_text(
+            L.mechanism_to_json(L.randomized_response(3, 1.0), 1.0, 0.0))
+        if argv[0] != "check":
+            argv = [*argv, "--out", "out.json"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
 class TestOneOutputMechanism:
     """opt at eps = 0 writes a 2 x 1 mechanism, which every command reads:
     its region is the diagonal, and every divergence through it is 0."""
@@ -981,6 +1056,18 @@ options:
             main([*argv, "--help"])
         assert info.value.code == 0
         assert capsys.readouterr() == (self.HELP[command], "")
+
+
+    @pytest.mark.parametrize("argv", [["opt", "--utility", "kl"],
+                                      ["region", "--eps", "x"]])
+    def test_usage_error_exits_2(self, capsys, argv):
+        # argparse's usage errors share exit code 2 with I/O errors.
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: ldpopt {argv[0]} ")
 
 
 class TestConsoleEntryPoint:

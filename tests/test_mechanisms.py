@@ -9,7 +9,7 @@ from ldpopt.core import MAX_EPS
 
 class TestPartitions:
     def test_ht_partition_priors_share_an_alphabet(self):
-        with pytest.raises(L.DimensionMismatch, match="^priors must share an alphabet$"):
+        with pytest.raises(L.DimensionMismatch, match="^p0 has k=2 but p1 has k=3$"):
             L.ht_partition(L.make_distribution([0.5, 0.5]),
                            L.make_distribution([0.2, 0.3, 0.5]))
 

@@ -291,7 +291,7 @@ class TestUtilitySpecRejects:
         (dict(objective="ht", kind=L.KL, p0=_P), ValueError,
          "^hypothesis-testing spec needs kind, p0 and p1$"),
         (dict(objective="ht", kind=L.KL, p0=_P, p1=L.make_distribution([0.5, 0.5])),
-         L.DimensionMismatch, "^p0 and p1 must share an alphabet$"),
+         L.DimensionMismatch, "^p0 has k=3 but p1 has k=2$"),
         (dict(objective="ht", kind=L.TV, p0=_P, p1=_ZERO), ValueError,
          "^priors must be positive$"),
         (dict(objective="mi", p0=_P), ValueError,
@@ -319,8 +319,14 @@ class TestSizeRejects:
          "^column must have length 3$"),
         (lambda: L.column_utility(_SPEC, [0.5, -0.1, 0.5]), ValueError,
          "^column entries must be nonnegative$"),
+        (lambda: L.column_utility(_SPEC, [math.nan, 0.5, 0.5]), ValueError,
+         "^column entries must be finite$"),
+        (lambda: L.column_utility(_SPEC, [0.5, math.inf, 0.5]), ValueError,
+         "^column entries must be finite$"),
+        (lambda: L.column_utility(_SPEC, [0.5, 0.5, -math.inf]), ValueError,
+         "^column entries must be finite$"),
         (lambda: L.utility(_SPEC, L.randomized_response(2, 1.0)), L.DimensionMismatch,
-         "^spec has k=3 but Q has k=2$"),
+         "^P has k=3 but Q has k=2$"),
     ])
     def test_names_what_is_wrong(self, call, error, message):
         with pytest.raises(error, match=message):
