@@ -368,10 +368,14 @@ class TestSuitesReject:
          "priors must be positive"),
         (lambda: L.mi_converse_suite(_ZERO3, _RR3, 1.0), ValueError,
          "prior must be positive"),
-        (lambda: L.mi_converse_suite(_P2, _RR3, 1.0), L.DimensionMismatch,
-         "P has k=2 but Q has k=3"),
-        (lambda: L.marginal_ratio_bounds(_P2, _P2, _RR3, 1.0), L.DimensionMismatch,
-         "P has k=2 but Q has k=3"),
+        # The two prior-mechanism cases share a message, so each keeps the id
+        # it had under the rule's earlier wording.
+        pytest.param(lambda: L.mi_converse_suite(_P2, _RR3, 1.0), L.DimensionMismatch,
+                     "P has k=2 but Q has k=3",
+                     id="<lambda>-DimensionMismatch-prior and mechanism disagree on k"),
+        pytest.param(lambda: L.marginal_ratio_bounds(_P2, _P2, _RR3, 1.0),
+                     L.DimensionMismatch, "P has k=2 but Q has k=3",
+                     id="<lambda>-DimensionMismatch-priors and mechanism disagree on k"),
     ])
     def test_names_what_is_wrong(self, call, error, message):
         with pytest.raises(error, match=f"^{message}$"):
