@@ -326,7 +326,7 @@ def mechanism_to_dict(Q: Mechanism, eps_claimed: float | None = None,
     return {
         "k": Q.k,
         "l": Q.l,
-        "rows": [[float(v) for v in row] for row in Q.rows],
+        "rows": Q.rows.tolist(),
         "eps_claimed": None if eps_claimed is None else float(eps_claimed),
         "delta_claimed": None if delta_claimed is None else float(delta_claimed),
     }

@@ -67,6 +67,9 @@ MAX_ORACLE_K = 5
 # holds 12 x 4,096 difference rows and 4,096 column scales in floats, plus a
 # 12-column basis and its 12 x 12 inverse: 427,232 bytes, so the cache
 # holds at most LP_CACHE_SIZE x 427 KB (13.7 MB); at k = 6 an entry is 4.4 KB.
+# The vertex oracle's certified vertices per (k, eps) (_oracle_vertices) share
+# the size: an entry holds 1.8 KB at k = 3, 60 KB at k = 4 and 6.0 MB at
+# MAX_ORACLE_K = 5 (75,336 vertices), so at worst 32 x 6.0 MB (193 MB).
 # 32 entries hold the largest sweep grid (11 eps) at once, and all 32
 # (k, eps) pairs of the benchmark's certify workload.
 LP_CACHE_SIZE = 32
@@ -377,30 +380,43 @@ def _oracle_bases(k: int) -> tuple[np.ndarray, ...]:
     return table
 
 
-def vertex_oracle(lp: StaircaseLP) -> float:
-    """Brute-force optimum over the basic solutions of every k-column basis.
+@functools.lru_cache(maxsize=LP_CACHE_SIZE)
+def _oracle_vertices(k: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The prior-free part of vertex_oracle at (k, eps), computed once per
+    (k, eps) and read-only: the k x v basis columns and the k x v masses
+    theta_j * s_j of the v bases whose basic solution passes solve's
+    certificate.
 
     Every vertex of {theta : S theta = 1, theta >= 0} is the basic solution
     of a k-column basis M of the difference rows for the right side e_0,
-    so its masses theta_j * s_j are column 0 of M^-1: the row-0 cofactors
-    over det M = C1 + C2 / s (see _oracle_bases), computed as
-    (C1 + C2) - C2 * delta / (1 + delta). No linear system is solved per
-    eps. A candidate must pass solve's certificate: PARSE_ROW_SUM_TOL on
-    its residual on the original S, with theta the masses over the column
-    scales of _lp_start, and CERT_NEG_TOL on its masses. At an isolated
-    eps where det M vanishes its masses are inf or NaN and fail the
-    residual test.
+    so its masses are column 0 of M^-1: the row-0 cofactors over
+    det M = C1 + C2 / s (see _oracle_bases), computed as
+    (C1 + C2) - C2 * delta / (1 + delta). No linear system is solved. A
+    candidate must pass PARSE_ROW_SUM_TOL on its residual on the original
+    S, with theta the masses over the column scales of _lp_start, and
+    CERT_NEG_TOL on its masses. At an isolated eps where det M vanishes its
+    masses are inf or NaN and fail the residual test.
     """
-    if lp.k > MAX_ORACLE_K:
-        raise AlphabetTooLarge(f"vertex oracle is capped at k={MAX_ORACLE_K}")
-    cols, cofactors, total, c2 = _oracle_bases(lp.k)
-    scale = _lp_start(lp.k, lp.eps)[1]
-    delta = math.expm1(lp.eps)
+    cols, cofactors, total, c2 = _oracle_bases(k)
+    scale = _lp_start(k, eps)[1]
+    delta = math.expm1(eps)
     with np.errstate(divide="ignore", invalid="ignore"):
         mass = cofactors / (total - c2 * (delta / (1.0 + delta)))
         theta = mass / scale.take(cols)
-        fit = np.einsum("xjm,jm->xm", pattern_matrix(lp.k, lp.eps).take(cols, axis=1), theta)
+        fit = np.einsum("xjm,jm->xm", pattern_matrix(k, eps).take(cols, axis=1), theta)
         ok = ((np.abs(fit - 1.0) <= PARSE_ROW_SUM_TOL).all(axis=0)
               & (mass >= -CERT_NEG_TOL).all(axis=0))
-    value = np.einsum("jm,jm->m", lp.cost.take(cols[:, ok]), mass[:, ok])
+    vertices = (cols[:, ok], mass[:, ok])
+    for arr in vertices:
+        arr.flags.writeable = False
+    return vertices
+
+
+def vertex_oracle(lp: StaircaseLP) -> float:
+    """Brute-force optimum over the basic solutions of every k-column basis:
+    the largest cost of the vertices of _oracle_vertices(k, eps)."""
+    if lp.k > MAX_ORACLE_K:
+        raise AlphabetTooLarge(f"vertex oracle is capped at k={MAX_ORACLE_K}")
+    cols, mass = _oracle_vertices(lp.k, lp.eps)
+    value = np.einsum("jm,jm->m", lp.cost.take(cols), mass)
     return float(value.max(initial=-np.inf))

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -835,6 +838,118 @@ class TestEmptyFlagValue:
         assert main(argv) == code
         assert capsys.readouterr() == ("", err)
         assert sorted(p.name for p in workdir.iterdir()) == ["cfg.json", "m.json"]
+
+
+class TestOutputInPlace:
+    """--out files are overwritten in place, never truncated to zero: an
+    existing file keeps its inode and mode, a symlink is followed, and only
+    a longer old tail is cut."""
+
+    OPT = ["opt", "--utility", "kl", "--eps", "1", "--p0", "0.5,0.2,0.3",
+           "--p1", "0.1,0.6,0.3"]
+    SWEEP = ["sweep", "--seed", "7", "--k", "3", "--num-instances", "3",
+             "--eps-grid", "0,1", "--utility", "kl"]
+    COMMANDS = {
+        "opt": OPT,
+        "mech": ["mech", "rr", "--k", "3", "--eps", "1"],
+        "region": ["region", "--eps", "1", "--delta", "0.05"],
+        "sweep": SWEEP,
+    }
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("old", [b"", b"old", b"z" * 20_000],
+                             ids=["empty", "shorter", "longer"])
+    def test_holds_exactly_the_new_bytes(self, workdir, capsys, command, old):
+        argv = self.COMMANDS[command]
+        assert main([*argv, "--out", "fresh"]) == 0
+        (workdir / "over").write_bytes(old)
+        assert main([*argv, "--out", "over"]) == 0
+        assert (workdir / "over").read_bytes() == (workdir / "fresh").read_bytes()
+
+    def test_dev_null(self, capsys):
+        assert main([*self.OPT, "--out", "/dev/null"]) == 0
+        assert capsys.readouterr() == ("0.0734811355875\n", "")
+
+    def test_fifo_receives_the_full_text(self, workdir, capsys):
+        fifo = workdir / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main([*self.OPT, "--out", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert main([*self.OPT, "--out", "file"]) == 0
+        assert got == [(workdir / "file").read_bytes()]
+
+    def test_symlink_writes_through(self, workdir, capsys):
+        (workdir / "target").write_bytes(b"z" * 1000)
+        (workdir / "link").symlink_to("target")
+        assert main([*self.OPT, "--out", "link"]) == 0
+        assert main([*self.OPT, "--out", "file"]) == 0
+        assert (workdir / "link").is_symlink()
+        assert (workdir / "target").read_bytes() == (workdir / "file").read_bytes()
+
+    def test_existing_file_keeps_its_inode_and_mode(self, workdir, capsys):
+        path = workdir / "m.json"
+        path.write_bytes(b"z" * 1000)
+        path.chmod(0o640)
+        before = path.stat()
+        assert main([*self.OPT, "--out", "m.json"]) == 0
+        after = path.stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+
+    def test_new_file_mode_follows_the_umask(self, workdir, capsys):
+        mask = os.umask(0o027)
+        try:
+            assert main([*self.OPT, "--out", "m.json"]) == 0
+        finally:
+            os.umask(mask)
+        assert stat.S_IMODE((workdir / "m.json").stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_never_opens_with_o_trunc(self, workdir, monkeypatch, capsys, command):
+        # Truncating to zero before the rewrite makes ext4 flush the file, ten
+        # times the cost of a short write, and no output shows it.
+        opened = []
+        real_open = os.open
+
+        def spy(path, flags, *args, **kwargs):
+            opened.append((path, flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        for _ in range(2):  # a new file, then an existing one
+            assert main([*self.COMMANDS[command], "--out", "out"]) == 0
+        assert [path for path, _ in opened if path == "out"]
+        assert not [path for path, flags in opened if flags & os.O_TRUNC]
+
+    def test_sweep_opens_before_solving(self, workdir, monkeypatch, capsys):
+        def run_sweep(cfg):
+            pytest.fail("run_sweep called for an unwritable --out")
+
+        monkeypatch.setattr(L.cli, "run_sweep", run_sweep)
+        assert main([*self.SWEEP, "--out", "missing/x.csv"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: [Errno 2] No such file or directory: 'missing/x.csv'\n")
+
+    def test_failed_sweep_removes_its_file_and_keeps_old_bytes(self, workdir, monkeypatch,
+                                                               capsys):
+        def run_sweep(cfg):
+            raise L.NumericalBreakdown("pivot row lost")
+
+        monkeypatch.setattr(L.cli, "run_sweep", run_sweep)
+        (workdir / "old.csv").write_bytes(b"old bytes")
+        for name in ("new.csv", "old.csv"):
+            assert main([*self.SWEEP, "--out", name]) == 1
+            assert capsys.readouterr() == ("", "error: pivot row lost\n")
+        assert [p.name for p in workdir.iterdir()] == ["old.csv"]
+        assert (workdir / "old.csv").read_bytes() == b"old bytes"
 
 
 class TestUnreadPriorFlag:

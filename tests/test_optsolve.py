@@ -1082,6 +1082,12 @@ class TestVertexOracle:
                for a in table]
         assert got == ORACLE_TABLE_PINS[k]
 
+    def test_cached_vertices_are_read_only(self):
+        # Every oracle call at one (k, eps) reads the same cached arrays.
+        cols, mass = optsolve._oracle_vertices(4, 2.0)
+        assert optsolve._oracle_vertices(4, 2.0)[1] is mass
+        assert not cols.flags.writeable and not mass.flags.writeable
+
 
 @functools.cache
 def _exact_vertices(k, eps):
