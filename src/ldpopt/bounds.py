@@ -93,7 +93,8 @@ def converse_suite(P0: Distribution, P1: Distribution, Q: Mechanism,
     randomized response's KL less KL(P0||P1) - g e^(-eps), g = sum (1 - P0)
     log(P1/P0), against the e^(-eps) coefficient left, (k-1) KL + sum P0/P1 - k.
     """
-    rr = rr_kl_closed(P0, P1, eps)
+    spec = hypothesis_testing(KL, P0, P1)
+    rr = _named_value(spec, np.eye(P0.k), eps)
     e = exp_eps(eps)
     M0 = induced_marginal(P0, Q)
     M1 = induced_marginal(P1, Q)
@@ -112,7 +113,7 @@ def converse_suite(P0: Distribution, P1: Distribution, Q: Mechanism,
         BoundReport("symmetrized-kl-high-privacy", kl01 + kl10, 2.0 * lead),
     ]
     if lead > 0:
-        ratio = binary_kl_closed(P0, P1, eps) / lead
+        ratio = _named_value(spec, ht_partition(P0, P1), eps) / lead
         reports.append(BoundReport("binary-kl-expansion-ratio", abs(ratio - 1.0), 0.05))
     k, p0, p1 = P0.k, P0.probs, P1.probs
     kl = f_divergence(KL, P0, P1)
@@ -130,10 +131,12 @@ def mi_converse_suite(P: Distribution, Q: Mechanism, eps: float) -> list[BoundRe
     The low-privacy residual is randomized response's MI less H(P) - (k-1)
     eps e^(-eps), against the e^(-eps) coefficient left, (k-1) + sum log P + k H(P).
     """
-    rr = rr_mi_closed(P, eps)
+    spec = information_preservation(P)
+    rr = _named_value(spec, np.eye(P.k), eps)
     mi = mutual_information(P, Q)
     h = entropy(P)
-    t = P.mass(np.flatnonzero(mi_partition(P)[:, 0]))
+    split = mi_partition(P)
+    t = P.mass(np.flatnonzero(split[:, 0]))
     lead = 0.5 * t * (1 - t) * eps**2
     low = h - (P.k - 1) * eps * math.exp(-eps)
     reports = [
@@ -142,7 +145,7 @@ def mi_converse_suite(P: Distribution, Q: Mechanism, eps: float) -> list[BoundRe
         BoundReport("mi-low-privacy", mi, low),
     ]
     if lead > 0:
-        ratio = binary_mi_closed(P, eps) / lead
+        ratio = _named_value(spec, split, eps) / lead
         reports.append(BoundReport("binary-mi-expansion-ratio", abs(ratio - 1.0), 0.05))
     resid = abs(rr - low)
     tail = (P.k - 1) + float(np.log(P.probs).sum()) + P.k * h

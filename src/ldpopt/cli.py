@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import converse_suite, mi_converse_suite
 from .core import (MAX_EPS, MAX_LP_K, Distribution, Mechanism, effective_epsilon, exp_eps,
-                   induced_marginal, is_approx_private, is_locally_private,
+                   induced_marginal, is_approx_private, is_private_at,
                    is_staircase, make_distribution, mechanism_from_json,
                    mechanism_to_json, pattern_index)
 from .mechanisms import (binary_ht, binary_mi, geometric, ht_partition, mi_partition,
@@ -321,16 +321,14 @@ def _output(path: str | None):
     zero before rewriting it makes ext4 flush it, about ten times the cost
     of a short write. The output is neither atomic nor durable: nothing
     calls fsync. If the block raises, a file that this call created is
-    removed; an existing file is left as it was unless the block wrote to it.
+    removed (through a symlink, the file it names, never the link); an
+    existing file is left as it was unless the block wrote to it.
     """
     if path is None:
         yield sys.stdout.write
         return
-    try:
-        fd, created = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), True
-    except FileExistsError:
-        fd, created = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), False
-    with open(fd, "wb") as fh:
+    created = not os.path.exists(path)  # follows symlinks, as the open does
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         def write(text: str) -> None:
             data = text.encode("utf-8")
             fh.write(data)
@@ -342,7 +340,7 @@ def _output(path: str | None):
             yield write
         except BaseException:
             if created:
-                os.remove(path)
+                os.remove(os.path.realpath(path))
             raise
 
 
@@ -410,11 +408,12 @@ def cmd_check(args) -> int:
         exp_eps(eps, delta)
         if args.p0 is not None or args.p1 is not None:
             _reject_unread_priors(args, "check's hypothesis-testing suite", HT_PRIORS)
+    eff = effective_epsilon(Q)
     print(f"k={Q.k} l={Q.l}")
-    print(f"effective_epsilon={_fmt(effective_epsilon(Q))}")
+    print(f"effective_epsilon={_fmt(eff)}")
     ok = True
     if eps is not None:
-        pure = is_locally_private(Q, eps)
+        pure = is_private_at(eff, eps)
         approx = is_approx_private(Q, eps, delta)
         stair = is_staircase(Q, eps)
         print(f"is_locally_private(eps={_fmt(eps)}): {pure}")
@@ -493,14 +492,20 @@ def cmd_exponent(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once; parse_args leaves it unchanged."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its {command: subparser} map, built once;
+    parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(prog="ldpopt",
                                      description="Optimal mechanisms for local "
                                                  "differential privacy on finite alphabets.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("mech", help="construct a named mechanism and emit JSON")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        commands[name] = sub.add_parser(name, help=summary)
+        return commands[name]
+
+    p = command("mech", "construct a named mechanism and emit JSON")
     p.add_argument("kind", choices=["binary", "binary-mi", "rr", "geometric", "quaternary"])
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--eps", type=float, required=True)
@@ -510,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_mech)
 
-    p = sub.add_parser("opt", help="solve the pattern LP and emit the optimal mechanism")
+    p = command("opt", "solve the pattern LP and emit the optimal mechanism")
     p.add_argument("--utility", choices=UTILITIES, required=True)
     p.add_argument("--eps", type=float, required=True)
     for flag in PRIOR_FLAGS:
@@ -518,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_opt)
 
-    p = sub.add_parser("check", help="validate a mechanism file and its privacy claims")
+    p = command("check", "validate a mechanism file and its privacy claims")
     p.add_argument("mechanism")
     p.add_argument("--eps", type=float)
     p.add_argument("--delta", type=float)
@@ -526,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("region", help="emit an error-region boundary as CSV")
+    p = command("region", "emit an error-region boundary as CSV")
     p.add_argument("--mech")
     p.add_argument("--x0", type=int, default=0)
     p.add_argument("--x1", type=int, default=1)
@@ -535,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_region)
 
-    p = sub.add_parser("sweep", help="run a benchmark sweep over random priors")
+    p = command("sweep", "run a benchmark sweep over random priors")
     p.add_argument("--config", help="JSON file with the sweep configuration")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int)
@@ -546,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("exponent", help="Monte-Carlo Chernoff-Stein exponent estimate")
+    p = command("exponent", "Monte-Carlo Chernoff-Stein exponent estimate")
     p.add_argument("--p0", required=True)
     p.add_argument("--p1", required=True)
     p.add_argument("--eps", type=float, default=1.0)
@@ -557,11 +562,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_exponent)
-    return parser
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; parse_args leaves it unchanged."""
+    return _parsers()[0]
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command. A command's flags are parsed once, by its own
+    subparser; the top-level parser would parse them a second time."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        args, unknown = commands[argv[0]].parse_known_args(argv[1:])
+        if unknown:  # as the top-level parse_args reports them
+            parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        args.command = argv[0]
+    else:  # no command: --help, a usage error or an unknown command
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

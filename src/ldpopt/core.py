@@ -247,7 +247,14 @@ def is_locally_private(Q: Mechanism, eps: float) -> bool:
     nonzero masses fails at every eps.
     """
     exp_eps(eps)
-    return effective_epsilon(Q) <= eps + math.log1p(DEFAULT_RATIO_TOL)
+    return is_private_at(effective_epsilon(Q), eps)
+
+
+def is_private_at(effective: float, eps: float) -> bool:
+    """True iff a mechanism whose effective_epsilon is `effective` is
+    eps-locally private: the rule of is_locally_private, for a caller that
+    has the effective eps already. eps is not checked here."""
+    return effective <= eps + math.log1p(DEFAULT_RATIO_TOL)
 
 
 def is_approx_private(Q: Mechanism, eps: float, delta: float) -> bool:
@@ -332,6 +339,31 @@ def mechanism_to_dict(Q: Mechanism, eps_claimed: float | None = None,
     }
 
 
+def _stochastic_rows(rows: list, l: int) -> np.ndarray | None:
+    """The k rows as a matrix, each divided by its sum, when one pass finds
+    them valid; None sends them through mechanism_from_dict's loop.
+
+    The one pass takes plain float and int entries only, which np.array
+    converts as float() does (an int too large for a float raises
+    OverflowError). A NaN or -inf fails the minimum, and a +inf or an
+    overflow makes its row's sum inf. Each row sum is the loop's, and the
+    division the loop's.
+    """
+    if not all(type(row) is list and len(row) == l and {float, int}.issuperset(map(type, row))
+               for row in rows):
+        return None
+    try:
+        mat = np.array(rows, dtype=float)
+    except OverflowError:
+        return None
+    with np.errstate(all="ignore"):  # the loop below warns as it always has
+        sums = mat.sum(axis=1)
+    if not (mat.min() >= 0 and np.abs(sums - 1.0).max() <= PARSE_ROW_SUM_TOL):
+        return None
+    mat /= sums[:, None]
+    return mat
+
+
 def mechanism_from_dict(obj: dict) -> MechanismRecord:
     """Parse and validate the wire format, renormalizing rows that pass the gate."""
     if not isinstance(obj, dict):
@@ -345,22 +377,24 @@ def mechanism_from_dict(obj: dict) -> MechanismRecord:
             raise MechanismFormatError(f"{name} must be a positive integer")
     if not isinstance(rows, list) or len(rows) != k:
         raise MechanismFormatError(f"expected {k} rows, found {len(rows) if isinstance(rows, list) else 'none'}")
-    mat = np.zeros((k, l))
-    for x, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != l:
-            raise MechanismFormatError(f"row {x}: expected {l} entries")
-        for y, v in enumerate(row):
-            # An exact comparison: a NaN or an int too large for a float fails.
-            if (not isinstance(v, (int, float)) or isinstance(v, bool)
-                    or not abs(v) <= sys.float_info.max):
-                raise MechanismFormatError(f"row {x}, column {y}: not a finite number")
-            if v < 0:
-                raise MechanismFormatError(f"row {x}, column {y}: negative mass {v!r}")
-            mat[x, y] = float(v)
-        s = float(mat[x].sum())
-        if abs(s - 1.0) > PARSE_ROW_SUM_TOL:
-            raise MechanismFormatError(f"row {x}: sums to {s!r}, outside the 1e-9 gate")
-        mat[x] /= s
+    mat = _stochastic_rows(rows, l)
+    if mat is None:  # name the first fault, or accept what the one pass does not
+        mat = np.zeros((k, l))
+        for x, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != l:
+                raise MechanismFormatError(f"row {x}: expected {l} entries")
+            for y, v in enumerate(row):
+                # An exact comparison: a NaN or an int too large for a float fails.
+                if (not isinstance(v, (int, float)) or isinstance(v, bool)
+                        or not abs(v) <= sys.float_info.max):
+                    raise MechanismFormatError(f"row {x}, column {y}: not a finite number")
+                if v < 0:
+                    raise MechanismFormatError(f"row {x}, column {y}: negative mass {v!r}")
+                mat[x, y] = float(v)
+            s = float(mat[x].sum())
+            if abs(s - 1.0) > PARSE_ROW_SUM_TOL:
+                raise MechanismFormatError(f"row {x}: sums to {s!r}, outside the 1e-9 gate")
+            mat[x] /= s
     eps_claimed = obj.get("eps_claimed")
     delta_claimed = obj.get("delta_claimed")
     for name, v, hi in (("eps_claimed", eps_claimed, MAX_EPS),
@@ -380,7 +414,19 @@ def mechanism_from_dict(obj: dict) -> MechanismRecord:
 
 def mechanism_to_json(Q: Mechanism, eps_claimed: float | None = None,
                       delta_claimed: float | None = None) -> str:
-    return json.dumps(mechanism_to_dict(Q, eps_claimed, delta_claimed), indent=2)
+    """Exactly json.dumps(mechanism_to_dict(...), indent=2), written without
+    json's indenting encoder, which is pure Python.
+
+    Entries are finite floats, which json spells by float.__repr__; k, l
+    and the claims go through json.dumps itself.
+    """
+    d = mechanism_to_dict(Q, eps_claimed, delta_claimed)
+    rows = ",\n".join(["    [\n      " + ",\n      ".join(map(float.__repr__, row)) + "\n    ]"
+                       for row in d["rows"]])
+    return (f'{{\n  "k": {json.dumps(d["k"])},\n  "l": {json.dumps(d["l"])},\n'
+            f'  "rows": [\n{rows}\n  ],\n'
+            f'  "eps_claimed": {json.dumps(d["eps_claimed"])},\n'
+            f'  "delta_claimed": {json.dumps(d["delta_claimed"])}\n}}')
 
 
 def mechanism_from_json(text: str) -> MechanismRecord:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -952,6 +953,24 @@ class TestOutputInPlace:
         assert (workdir / "old.csv").read_bytes() == b"old bytes"
 
 
+class TestOutputThroughDanglingLink:
+    def test_failed_sweep_removes_the_target_and_keeps_the_link(self, tmp_path,
+                                                                 monkeypatch, capsys):
+        # The link names no file, so the open creates its target; a failed
+        # sweep removes that target, not the link.
+        def run_sweep(cfg):
+            raise L.NumericalBreakdown("pivot row lost")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(L.cli, "run_sweep", run_sweep)
+        (tmp_path / "link.csv").symlink_to("target.csv")
+        assert main([*TestOutputInPlace.SWEEP, "--out", "link.csv"]) == 1
+        assert capsys.readouterr() == ("", "error: pivot row lost\n")
+        assert not (tmp_path / "target.csv").exists()
+        assert (tmp_path / "link.csv").is_symlink()
+        assert [p.name for p in tmp_path.iterdir()] == ["link.csv"]
+
+
 class TestUnreadPriorFlag:
     """A prior flag the command would not read exits 1 with one stderr line
     naming it, before anything is printed or written."""
@@ -1183,6 +1202,89 @@ options:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"usage: ldpopt {argv[0]} ")
+
+
+class TestOneParse:
+    """main parses a command's flags once, with the command's own parser,
+    and behaves as the top-level parser's parse_args does."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.json").write_text(
+            L.mechanism_to_json(L.randomized_response(2, 1.0), 1.0, 0.0))
+        return tmp_path
+
+    # One short run of each command.
+    COMMANDS = {
+        "mech": ["mech", "rr", "--k", "3", "--eps", "1"],
+        "opt": ["opt", "--utility", "kl", "--eps", "1", "--p0", "0.7,0.3",
+                "--p1", "0.3,0.7"],
+        "check": ["check", "m.json", "--p0", "0.7,0.3", "--p1", "0.3,0.7"],
+        "region": ["region", "--mech", "m.json"],
+        "sweep": ["sweep", "--k", "2", "--num-instances", "1", "--eps-grid", "1",
+                  "--utility", "kl"],
+        "exponent": ["exponent", "--p0", "0.7,0.3", "--p1", "0.3,0.7", "--n", "100",
+                     "--trials", "2"],
+    }
+    # Commands run as given; each is parsed by the subparser alone.
+    CORPUS = [
+        *COMMANDS.values(),
+        ["mech", "quaternary", "--eps=0.5", "--delta", "0.1", "--out", "q.json"],
+        ["opt", "--eps", "2", "--utility", "mi", "--p", "0.2,0.3,0.5"],
+        ["check", "--eps", "1", "m.json", "--delta", "0.0"],
+        ["region", "--eps", "1", "--delta", "0.1", "--x0", "1", "--x1", "0"],
+        ["region", "--ep", "1"],
+        ["mech", "rr", "--eps", "1", "--k", "3", "--k", "4"],
+    ]
+    # Usage errors and help, each exiting through argparse.
+    EXITS = [
+        ["nope"],                                    # an unknown command
+        ["region", "--eps", "1", "--bogus", "x"],    # unrecognized trailing arguments
+        ["mech", "rr", "--eps", "1", "--", "x"],
+        ["opt", "--utility", "kl"],                  # a missing required flag
+        ["opt", "--utility", "kl", "--eps", "x"],    # a bad type= value
+        ["opt", "-h"],
+        [],
+        ["-h"],
+        ["--", "opt"],
+    ]
+
+    def _parses(self, monkeypatch) -> list:
+        calls = []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def spy(parser, *args, **kwargs):
+            namespace, extras = real(parser, *args, **kwargs)
+            calls.append(namespace)
+            return namespace, extras
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        return calls
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_parses_once(self, workdir, monkeypatch, capsys, command):
+        calls = self._parses(monkeypatch)
+        assert main(self.COMMANDS[command]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
+    def test_same_namespace_as_parse_args(self, workdir, monkeypatch, capsys, argv):
+        want = vars(L.cli.build_parser().parse_args(argv))
+        calls = self._parses(monkeypatch)
+        assert main(argv) == 0
+        assert vars(calls[-1]) == want
+
+    @pytest.mark.parametrize("argv", EXITS, ids=" ".join)
+    def test_same_exit_as_parse_args(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as want:
+            L.cli.build_parser().parse_args(argv)
+        want_output = capsys.readouterr()
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        assert got.value.code == want.value.code
+        assert capsys.readouterr() == want_output
 
 
 class TestConsoleEntryPoint:

@@ -1,12 +1,13 @@
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 import ldpopt as L
-from ldpopt.core import (DEFAULT_RATIO_TOL, MAX_EPS, ROW_SUM_TOL, _pattern_bits,
+from ldpopt.core import (DEFAULT_RATIO_TOL, MAX_EPS, PARSE_ROW_SUM_TOL, ROW_SUM_TOL, _pattern_bits,
                          pattern_index)
 
 
@@ -619,3 +620,130 @@ class TestSerialization:
         obj = json.loads(L.mechanism_to_json(Q, 1.0, 0.2))
         assert obj["k"] == 2 and obj["l"] == 4
         assert len(obj["rows"]) == 2 and len(obj["rows"][0]) == 4
+
+
+# -- wire format: the one-pass reader and writer against their references ----
+
+
+def _reference_rows(rows, k, l):
+    """The rows as mechanism_from_dict reads them element by element: the
+    renormalized matrix, or the message naming the first fault."""
+    mat = np.zeros((k, l))
+    for x, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != l:
+            return f"row {x}: expected {l} entries"
+        for y, v in enumerate(row):
+            if (not isinstance(v, (int, float)) or isinstance(v, bool)
+                    or not abs(v) <= sys.float_info.max):
+                return f"row {x}, column {y}: not a finite number"
+            if v < 0:
+                return f"row {x}, column {y}: negative mass {v!r}"
+            mat[x, y] = float(v)
+        s = float(mat[x].sum())
+        if abs(s - 1.0) > PARSE_ROW_SUM_TOL:
+            return f"row {x}: sums to {s!r}, outside the 1e-9 gate"
+        mat[x] /= s
+    return mat
+
+
+def _assert_reads_as_reference(rows, l):
+    k = len(rows)
+    want = _reference_rows(rows, k, l)
+    try:
+        got = L.mechanism_from_dict({"k": k, "l": l, "rows": rows}).mechanism.rows
+    except L.MechanismFormatError as exc:
+        got = str(exc)
+    if isinstance(want, str):
+        assert got == want, rows
+    else:  # bit for bit, signed zeros included
+        assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes(), rows
+
+
+def _wire_mechanisms():
+    """Named, LP-extracted and hand-made mechanisms, with -0.0 and subnormal
+    entries and rows up to 4,096 entries wide."""
+    mechs = [f(k, eps) for k in range(2, 13) for eps in (0.3, 1.0, 5.0, 40.0)
+             for f in (L.randomized_response, L.geometric)]
+    mechs += [L.randomized_response(k, 0.0) for k in (2, 12)]
+    mechs += [L.quaternary(eps, delta) for eps, delta in ((1.0, 0.1), (0.5, 0.0), (3.0, 0.9))]
+    rng = np.random.default_rng(1407)
+    for k in (2, 3, 4, 6):
+        p0, p1 = (L.make_distribution(rng.dirichlet(np.ones(k))) for _ in range(2))
+        specs = [L.hypothesis_testing(kind, p0, p1) for kind in (L.KL, L.TV, L.CHI2)]
+        for spec in [*specs, L.information_preservation(p0)]:
+            for eps in (0.1, 1.0, 4.0):
+                lp = L.build_lp(spec, eps)
+                mechs.append(L.extract_mechanism(L.solve(lp), lp))
+    mechs += [L.Mechanism(np.array([[-0.0, 1.0], [0.5, 0.5]])),
+              L.Mechanism(np.array([[5e-324, 1.0], [1.0, 1e-310]])),
+              L.Mechanism(np.array([[1.0], [1.0]]))]
+    for l in (7, 9, 100, 129, 1000, 4096):
+        mechs.append(L.Mechanism(rng.dirichlet(np.ones(l), size=2)))
+    return mechs
+
+
+_CLAIMS = ((None, None), (0.0, 0.0), (1e-300, 1e-300), (MAX_EPS, 1.0), (math.inf, None),
+           (1.0, 0.2))
+
+
+class TestWireFormat:
+    def test_json_is_json_dumps_indent_2(self):
+        for Q in _wire_mechanisms():
+            for eps, delta in _CLAIMS:
+                want = json.dumps(L.mechanism_to_dict(Q, eps, delta), indent=2)
+                assert L.mechanism_to_json(Q, eps, delta) == want
+
+    def test_reads_as_the_element_loop(self):
+        rng = np.random.default_rng(1338)
+        for Q in _wire_mechanisms():
+            rows = L.mechanism_to_dict(Q)["rows"]
+            _assert_reads_as_reference(rows, Q.l)
+            # Inside the gate: scaled rows, and rows printed to 10 digits.
+            scale = rng.choice([1.0 - 9e-10, 1.0 + 5e-10, 1.0 + 9e-10], size=len(rows))
+            _assert_reads_as_reference([[v * s for v in row] for row, s in zip(rows, scale)],
+                                       Q.l)
+            _assert_reads_as_reference([[float(f"{v:.10g}") for v in row] for row in rows], Q.l)
+        _assert_reads_as_reference([[1, 0], [0, 1]], 2)
+        _assert_reads_as_reference([[1, 0.0], [0.25, 0.75]], 2)
+        for edge in (1.0 - PARSE_ROW_SUM_TOL, 1.0 + PARSE_ROW_SUM_TOL):
+            for s in _near(edge):
+                _assert_reads_as_reference([[0.5, 0.5], [s - 0.25, 0.25]], 2)
+                _assert_reads_as_reference([[s], [1.0]], 1)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0.6, 0.6], [-0.5, 1.5]], "row 0: sums to 1.2, outside the 1e-9 gate"),
+        ([[math.nan, 1.0], [True, 0.0]], "row 0, column 0: not a finite number"),
+        ([[0.5, 0.5], [True, 0.0]], "row 1, column 0: not a finite number"),
+        ([[10**400, 0], [0.5, 0.5]], "row 0, column 0: not a finite number"),
+        ([[0.5, 0.5], [0.5, 10**400]], "row 1, column 1: not a finite number"),
+        ([[0.5, 0.5], [0.5, "0.5"]], "row 1, column 1: not a finite number"),
+        ([[0.5, 0.5], [0.5, None]], "row 1, column 1: not a finite number"),
+        ([[0.5, 0.7], [0.5]], "row 0: sums to 1.2, outside the 1e-9 gate"),
+        ([[0.5, 0.5], [0.5]], "row 1: expected 2 entries"),
+        ([[0.5, 0.5], (0.5, 0.5)], "row 1: expected 2 entries"),
+        ([[math.inf, -math.inf], [0.5, 0.5]], "row 0, column 0: not a finite number"),
+        ([[-0.0, 1.0], [-1e-300, 1.0]], "row 1, column 0: negative mass -1e-300"),
+        ([[2.0, -1.0], [0.5, 0.5]], "row 0, column 1: negative mass -1.0"),
+        ([[1.0, 0.0], [0.5, 0.5 + 2e-9]],
+         "row 1: sums to 1.0000000020000002, outside the 1e-9 gate"),
+        ([[0.5, 0.5], [math.inf, 0.0]], "row 1, column 0: not a finite number"),
+    ])
+    def test_multi_fault_names_the_first(self, rows, message):
+        assert _reference_rows(rows, 2, 2) == message
+        with pytest.raises(L.MechanismFormatError) as info:
+            L.mechanism_from_dict({"k": 2, "l": 2, "rows": rows})
+        assert str(info.value) == message
+
+    def test_seeded_faults(self):
+        faults = (math.nan, math.inf, -math.inf, -1e-300, -0.0, True, False, None, "0.5",
+                  [0.5], 10**400, 2**64, 1e-320, 0.5 + 2e-9, 1, 0)
+        rng = np.random.default_rng(31)
+        for _ in range(600):
+            k, l = (int(n) for n in rng.integers(1, 6, size=2))
+            rows = rng.dirichlet(np.ones(l), size=k).tolist()
+            for _ in range(rng.integers(1, 4)):
+                rows[rng.integers(k)][rng.integers(l)] = faults[rng.integers(len(faults))]
+            if rng.random() < 0.1:
+                x = rng.integers(k)
+                rows[x] = rows[x][:-1] or "row"
+            _assert_reads_as_reference(rows, l)
