@@ -50,6 +50,12 @@ SWEEP_MECHANISMS = ("binary", "rr", "geometric", "optimal", "mixed")
 # Instances whose LP optimum is below this are counted as achieving ratio 1.
 ZERO_OPT = 1e-15
 
+# A sweep prior is redrawn until every mass is above this, so hypothesis
+# tests get the positive priors they need. A Dirichlet(1) draw at k <= 12
+# falls below it with probability under 1.4e-7; a larger value would change
+# which draws are kept, and so the pinned sweep CSVs.
+PRIOR_FLOOR = 1e-9
+
 
 def _fmt(v: float) -> str:
     return f"{v:.12g}"
@@ -162,7 +168,7 @@ def _instance_priors(cfg: SweepConfig, instance_id: int):
     def draw() -> Distribution:
         while True:
             p = rng.dirichlet(np.ones(cfg.k))
-            if p.min() > 1e-9:
+            if p.min() > PRIOR_FLOOR:
                 return make_distribution(p)
 
     if cfg.utility == "mi":

@@ -94,6 +94,16 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_masses(arr: np.ndarray, lo: float, what: str) -> None:
+    """Raise NotNormalizable if arr has a non-finite entry, else NegativeMass
+    if lo, its minimum, is negative. Past this, a failed one-pass test can
+    only be a bad sum."""
+    if not np.all(np.isfinite(arr)):
+        raise NotNormalizable(f"non-finite {what}")
+    if lo < 0:
+        raise NegativeMass(f"negative {what}")
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Point on the probability simplex over a finite alphabet of size k >= 1.
@@ -110,16 +120,14 @@ class Distribution:
         if probs.ndim != 1 or probs.size < 1:
             raise DimensionMismatch("distribution must be a nonempty 1-d vector")
         # One pass accepts every valid vector: a NaN or -inf fails the
-        # minimum, and a +inf makes the sum inf. Anything else goes through
-        # the checks below, which name what is wrong.
-        if probs.min() >= 0 and abs(float(probs.sum()) - 1.0) <= ROW_SUM_TOL:
-            return
-        if not np.all(np.isfinite(probs)):
-            raise NotNormalizable("non-finite probability mass")
-        if np.any(probs < 0):
-            raise NegativeMass("negative probability mass")
-        if abs(float(probs.sum()) - 1.0) > ROW_SUM_TOL:
-            raise NotNormalizable(f"masses sum to {probs.sum()!r}, not 1")
+        # minimum, and a +inf makes the sum inf.
+        lo = probs.min()
+        if lo >= 0:
+            total = float(probs.sum())
+            if abs(total - 1.0) <= ROW_SUM_TOL:
+                return
+        _check_masses(probs, lo, "probability mass")
+        raise NotNormalizable(f"masses sum to {total!r}, not 1")
 
     @property
     def k(self) -> int:
@@ -154,10 +162,7 @@ def make_distribution(values: Sequence[float]) -> Distribution:
     with np.errstate(over="ignore"):
         total = float(arr.sum())
     if not 0.0 < total < math.inf:
-        if not np.all(np.isfinite(arr)):
-            raise NotNormalizable("non-finite mass")
-        if np.any(arr < 0):
-            raise NegativeMass("negative mass")
+        _check_masses(arr, arr.min(), "probability mass")
         raise NotNormalizable(f"masses sum to {total!r}")
     return Distribution(arr / total)
 
@@ -173,18 +178,16 @@ class Mechanism:
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise DimensionMismatch("mechanism must be a 2-d matrix")
-        # One pass accepts every valid matrix, as in Distribution; the row
-        # sums are tested by the same expression as in the check below.
-        if rows.min() >= 0 and np.abs(rows.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL:
-            return
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("non-finite mechanism entry")
-        if np.any(rows < 0):
-            raise NegativeMass("negative mechanism entry")
-        row_sums = rows.sum(axis=1)
-        if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOL:
-            bad = int(np.argmax(np.abs(row_sums - 1.0)))
-            raise NotNormalizable(f"row {bad} sums to {row_sums[bad]!r}, not 1")
+        # One pass accepts every valid matrix, as in Distribution.
+        lo = rows.min()
+        if lo >= 0:
+            sums = rows.sum(axis=1)
+            off = np.abs(sums - 1.0)
+            if off.max() <= ROW_SUM_TOL:
+                return
+        _check_masses(rows, lo, "mechanism entry")
+        bad = int(off.argmax())
+        raise NotNormalizable(f"row {bad} sums to {float(sums[bad])!r}, not 1")
 
     @property
     def k(self) -> int:
@@ -339,33 +342,29 @@ def mechanism_to_dict(Q: Mechanism, eps_claimed: float | None = None,
     }
 
 
-def _stochastic_rows(rows: list, l: int) -> np.ndarray | None:
-    """The k rows as a matrix, each divided by its sum, when one pass finds
-    them valid; None sends them through mechanism_from_dict's loop.
-
-    The one pass takes plain float and int entries only, which np.array
-    converts as float() does (an int too large for a float raises
-    OverflowError). A NaN or -inf fails the minimum, and a +inf or an
-    overflow makes its row's sum inf. Each row sum is the loop's, and the
-    division the loop's.
-    """
-    if not all(type(row) is list and len(row) == l and {float, int}.issuperset(map(type, row))
-               for row in rows):
-        return None
-    try:
-        mat = np.array(rows, dtype=float)
-    except OverflowError:
-        return None
-    with np.errstate(all="ignore"):  # the loop below warns as it always has
-        sums = mat.sum(axis=1)
-    if not (mat.min() >= 0 and np.abs(sums - 1.0).max() <= PARSE_ROW_SUM_TOL):
-        return None
-    mat /= sums[:, None]
-    return mat
+def _first_fault(rows: list, l: int) -> tuple[int, str | None]:
+    """The index of the first row that breaks a row or entry rule of the
+    wire format, with the message naming its first fault; (len(rows), None)
+    when every row keeps them."""
+    for x, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != l:
+            return x, f"row {x}: expected {l} entries"
+        for y, v in enumerate(row):
+            # An exact comparison: a NaN or an int too large for a float fails.
+            if (not isinstance(v, (int, float)) or isinstance(v, bool)
+                    or not abs(v) <= sys.float_info.max):
+                return x, f"row {x}, column {y}: not a finite number"
+            if v < 0:
+                return x, f"row {x}, column {y}: negative mass {v!r}"
+    return len(rows), None
 
 
 def mechanism_from_dict(obj: dict) -> MechanismRecord:
-    """Parse and validate the wire format, renormalizing rows that pass the gate."""
+    """Parse and validate the wire format, renormalizing rows that pass the gate.
+
+    Names the first fault in file order, where a row's sum comes after its
+    entries and before the next row.
+    """
     if not isinstance(obj, dict):
         raise MechanismFormatError("expected a JSON object")
     for key in ("k", "l", "rows"):
@@ -377,24 +376,17 @@ def mechanism_from_dict(obj: dict) -> MechanismRecord:
             raise MechanismFormatError(f"{name} must be a positive integer")
     if not isinstance(rows, list) or len(rows) != k:
         raise MechanismFormatError(f"expected {k} rows, found {len(rows) if isinstance(rows, list) else 'none'}")
-    mat = _stochastic_rows(rows, l)
-    if mat is None:  # name the first fault, or accept what the one pass does not
-        mat = np.zeros((k, l))
-        for x, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != l:
-                raise MechanismFormatError(f"row {x}: expected {l} entries")
-            for y, v in enumerate(row):
-                # An exact comparison: a NaN or an int too large for a float fails.
-                if (not isinstance(v, (int, float)) or isinstance(v, bool)
-                        or not abs(v) <= sys.float_info.max):
-                    raise MechanismFormatError(f"row {x}, column {y}: not a finite number")
-                if v < 0:
-                    raise MechanismFormatError(f"row {x}, column {y}: negative mass {v!r}")
-                mat[x, y] = float(v)
-            s = float(mat[x].sum())
-            if abs(s - 1.0) > PARSE_ROW_SUM_TOL:
-                raise MechanismFormatError(f"row {x}: sums to {s!r}, outside the 1e-9 gate")
-            mat[x] /= s
+    x, fault = _first_fault(rows, l)
+    mat = np.array(rows[:x], dtype=float).reshape(x, l)
+    with np.errstate(over="ignore"):  # finite entries may sum past the float range
+        sums = mat.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > PARSE_ROW_SUM_TOL)
+    if bad.size:
+        x = bad[0]
+        raise MechanismFormatError(f"row {x}: sums to {float(sums[x])!r}, outside the 1e-9 gate")
+    if fault is not None:
+        raise MechanismFormatError(fault)
+    mat /= sums[:, None]
     eps_claimed = obj.get("eps_claimed")
     delta_claimed = obj.get("delta_claimed")
     for name, v, hi in (("eps_claimed", eps_claimed, MAX_EPS),

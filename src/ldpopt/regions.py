@@ -18,6 +18,14 @@ from .core import DEFAULT_RATIO_TOL, DimensionMismatch, Distribution, Mechanism,
 # Masses below this are treated as zero when classifying likelihood ratios.
 MASS_FLOOR = 1e-15
 
+# Vertex coordinates are partial sums of up to 4,096 masses in [0, 1], so
+# each is off by at most the rounding bound behind ROW_SUM_TOL (1e-12).
+# Three vertices whose cross product is at most COLLINEAR_TOL are one
+# straight run of the boundary, and a vertex may lie SQUARE_TOL outside the
+# unit square.
+COLLINEAR_TOL = 1e-12
+SQUARE_TOL = 1e-12
+
 
 def _canonical(points: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
     """Minimal vertex list: trim the vertical run at p_md = 0 and the
@@ -36,7 +44,7 @@ def _canonical(points: list[tuple[float, float]]) -> tuple[tuple[float, float], 
         while len(out) >= 2:
             (ax, ay), (bx, by) = out[-2], out[-1]
             cross = (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax)
-            if abs(cross) <= 1e-12:
+            if abs(cross) <= COLLINEAR_TOL:
                 out.pop()
             else:
                 break
@@ -59,7 +67,7 @@ class TradeoffRegion:
         if not v:
             raise ValueError("region needs at least one vertex")
         for md, fa in v:
-            if not (-1e-12 <= md <= 1 + 1e-12 and -1e-12 <= fa <= 1 + 1e-12):
+            if not (-SQUARE_TOL <= md <= 1 + SQUARE_TOL and -SQUARE_TOL <= fa <= 1 + SQUARE_TOL):
                 raise ValueError("vertices must lie in the unit square")
         mds = [md for md, _ in v]
         fas = [fa for _, fa in v]

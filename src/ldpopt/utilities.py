@@ -4,8 +4,10 @@ per-column sublinear scores that reduce them to sums over mechanism columns.
 Every utility here decomposes as U(Q) = sum_y mu(Q_y) for a positively
 homogeneous, subadditive mu, which is what makes the extremal-mechanism LP
 work. Each generator's term b f(a/b) is written once, as
-`FDivergenceKind.terms(b, d)` of the marginal b and d = a - b, and every score
-goes through it; mutual information is the KL terms sum_x P(x) D(Q(.|x) || M).
+`FDivergenceKind.terms(b, d)` of the marginal b and d = a - b, and every
+f-divergence score goes through it. Mutual information is the KL terms
+sum_x P(x) D(Q(.|x) || M): `column_scores` forms them by `KL.terms`, and
+`pattern_scores` writes its two per column by hand, as their signs are known.
 Callers form d before rounding, as (P0 - P1).c or P(x) (c(x) - P.c), so terms
 of order e^eps - 1 keep the relative precision that a - b of two rounded
 marginals would lose. All logarithms are natural; divergences are in nats.
@@ -19,6 +21,12 @@ from typing import Callable
 import numpy as np
 
 from .core import Distribution, DimensionMismatch, Mechanism
+
+# Slack of the spot-checks on a custom generator: of the midpoint convexity
+# test, relative to the largest |f| on the grid, and of f(1) = 0, absolute.
+# A convex generator evaluated in floats misses either by a few ulps of its
+# scale, so only a real violation fails.
+SPOT_CHECK_TOL = 1e-9
 
 
 class AbsoluteContinuityViolated(ValueError):
@@ -92,9 +100,9 @@ def _spot_check_convexity(f: Callable[[np.ndarray], np.ndarray],
     vals = f(grid)
     scale = max(1.0, float(np.max(np.abs(vals))))
     mid = f((grid[:-2] + grid[2:]) / 2.0)
-    if np.any(mid > (vals[:-2] + vals[2:]) / 2.0 + 1e-9 * scale):
+    if np.any(mid > (vals[:-2] + vals[2:]) / 2.0 + SPOT_CHECK_TOL * scale):
         raise ConvexityViolation("custom generator is not convex on the observed range")
-    if abs(float(f(np.array([1.0]))[0])) > 1e-9:
+    if abs(float(f(np.array([1.0]))[0])) > SPOT_CHECK_TOL:
         raise ConvexityViolation("custom generator must satisfy f(1) = 0")
 
 

@@ -376,6 +376,8 @@ class TestSuitesReject:
         pytest.param(lambda: L.marginal_ratio_bounds(_P2, _P2, _RR3, 1.0),
                      L.DimensionMismatch, "P has k=2 but Q has k=3",
                      id="<lambda>-DimensionMismatch-priors and mechanism disagree on k"),
+        pytest.param(lambda: L.marginal_ratio_bounds(_P3, _ZERO3, _RR3, 1.0), ValueError,
+                     "priors must be positive", id="marginal_ratio_bounds-zero-mass"),
     ])
     def test_names_what_is_wrong(self, call, error, message):
         with pytest.raises(error, match=f"^{message}$"):
@@ -409,6 +411,17 @@ class TestMarginalRatioBounds:
         p1 = L.make_distribution(rng.dirichlet(np.ones(5)))
         report = L.marginal_ratio_bounds(p0, p1, L.randomized_response(5, 0.05), 0.05)
         assert report.satisfied
+
+    def test_output_without_mass_is_skipped(self):
+        # Dyadic masses make both marginals exact, so the extra all-zero
+        # column is the only difference between the two mechanisms.
+        p0 = L.make_distribution([0.5, 0.25, 0.25])
+        p1 = L.make_distribution([0.25, 0.5, 0.25])
+        Q = L.Mechanism(np.array([[0.75, 0.25], [0.5, 0.5], [0.25, 0.75]]))
+        Z = L.Mechanism(np.insert(Q.rows, 1, 0.0, axis=1))
+        report = L.marginal_ratio_bounds(p0, p1, Q, 0.5)
+        assert report.lhs > 0
+        assert L.marginal_ratio_bounds(p0, p1, Z, 0.5) == report
 
     def test_equal_priors(self):
         p = L.make_distribution([0.25, 0.25, 0.5])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ldpopt as L
-from ldpopt.cli import _instance_priors, main
+from ldpopt.cli import FDIV_KINDS, _instance_priors, main
 from ldpopt.core import MAX_EPS, _pattern_bits
 
 # Call counts and float output pinned on these versions: numpy's Python
@@ -784,7 +784,9 @@ class TestBadPrior:
         (["mech", "binary", "--eps", "1", "--p0", "0.5,0.5", "--p1", "1"],
          "--p1: need at least 2 masses"),
         (["mech", "binary-mi", "--eps", "1", "--p", "0,0"], "--p: masses sum to 0.0"),
-        (["exponent", "--p0", "0.5,0.5", "--p1", "nan,1"], "--p1: non-finite mass"),
+        # Keeps the id it had under make_distribution's own wording.
+        pytest.param(["exponent", "--p0", "0.5,0.5", "--p1", "nan,1"],
+                     "--p1: non-finite probability mass", id="argv5---p1: non-finite mass"),
         (["exponent", "--p0", "1e308,1e308", "--p1", "0.5,0.5"], "--p0: masses sum to inf"),
     ])
     def test_error_starts_with_the_flag(self, capsys, argv, err):
@@ -803,6 +805,64 @@ class TestBadPrior:
         captured = capsys.readouterr()
         assert captured.out.startswith("k=2 l=2\n")
         assert captured.err == f"error: {err}\n"
+
+
+class TestNoWarningEscapes:
+    """Hostile mechanism files and priors end in a return code and at most
+    one error line, run in-process so that pytest's error::RuntimeWarning
+    filter turns any numpy warning that reaches the CLI into an escape."""
+
+    FILES = {
+        "overflow-row-0": '{"k": 2, "l": 2, "rows": [[1e308, 1e308], [0.5, 0.5]]}',
+        "overflow-row-1": '{"k": 2, "l": 2, "rows": [[0.5, 0.5], [1e308, 1e308]]}',
+        "nan": '{"k": 2, "l": 2, "rows": [[NaN, 1.0], [0.5, 0.5]]}',
+        "huge-int": f'{{"k": 2, "l": 2, "rows": [[1{"0" * 400}, 0], [0.5, 0.5]]}}',
+        "subnormal": '{"k": 2, "l": 2, "rows": [[5e-324, 1.0], [1.0, 5e-324]]}',
+        "zero-column": '{"k": 2, "l": 3, "rows": [[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]]}',
+    }
+    PRIORS = ("1e308,1e308", "nan,1", "inf,1", "-1,0.5", "0,0", "5e-324,1")
+    HT = ("--p0=0.5,0.5", "--p1=0.3,0.7")
+    SIM = ("--n", "50", "--trials", "5")
+
+    def _escapes(self, capsys, runs):
+        escapes = []
+        for argv in runs:
+            capsys.readouterr()
+            try:
+                code = main(argv)
+            except BaseException as exc:  # SystemExit included: argparse is not expected here
+                escapes.append((argv, repr(exc)))
+                continue
+            err = capsys.readouterr().err
+            if code not in (0, 1, 2) or (err and not (err.startswith("error: ")
+                                                      and err.count("\n") == 1)):
+                escapes.append((argv, code, err))
+        return escapes
+
+    def test_mechanism_files(self, tmp_path, capsys):
+        runs = []
+        for name, text in self.FILES.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            f = str(path)
+            runs += [["check", f], ["check", f, "--eps", "1"],
+                     ["check", f, "--eps", "1", *self.HT],
+                     ["check", f, "--eps", "1", "--p=0.4,0.6"],
+                     ["region", "--mech", f], ["exponent", "--mech", f, *self.HT, *self.SIM]]
+        assert not self._escapes(capsys, runs)
+
+    def test_priors(self, capsys):
+        runs = []
+        for bad in self.PRIORS:
+            pairs = ((f"--p0={bad}", "--p1=0.5,0.5"), ("--p0=0.5,0.5", f"--p1={bad}"))
+            for eps in ("1", "709.78"):
+                runs += [["opt", "--utility", u, "--eps", eps, *pair]
+                         for u in FDIV_KINDS for pair in pairs]
+                runs.append(["opt", "--utility", "mi", "--eps", eps, f"--p={bad}"])
+            runs += [["mech", "binary", "--eps", "1", *pair] for pair in pairs]
+            runs.append(["mech", "binary-mi", "--eps", "1", f"--p={bad}"])
+            runs += [["exponent", *pair, *self.SIM] for pair in pairs]
+        assert not self._escapes(capsys, runs)
 
 
 class TestEmptyFlagValue:

@@ -60,3 +60,19 @@ def test_no_constant_is_bound_in_two_modules():
     for module, name, _, _ in _constants():
         modules.setdefault(name, set()).add(module)
     assert not {name: sorted(m) for name, m in modules.items() if len(m) > 1}
+
+
+def test_no_small_float_literal_outside_a_binding():
+    # A float literal with 0 < |v| < 1e-6 is a tolerance or a threshold; it
+    # belongs in a covered module-level binding, where the tests above see it.
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {id(n) for node in tree.body
+                 if isinstance(node, ast.Assign) and all(
+                     isinstance(t, ast.Name) and _covered(t.id) for t in node.targets)
+                 for n in ast.walk(node.value)}
+        stray += [f"{path.name}:{node.lineno} {node.value!r}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and type(node.value) is float
+                  and 0 < abs(node.value) < 1e-6 and id(node) not in bound]
+    assert not stray

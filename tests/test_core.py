@@ -142,20 +142,20 @@ def _check_by_check_distribution(probs):
     if np.any(probs < 0):
         return L.NegativeMass, "negative probability mass"
     if abs(float(probs.sum()) - 1.0) > ROW_SUM_TOL:
-        return L.NotNormalizable, f"masses sum to {probs.sum()!r}, not 1"
+        return L.NotNormalizable, f"masses sum to {float(probs.sum())!r}, not 1"
     return None
 
 
 def _check_by_check_mechanism(rows):
     """The same for Mechanism on a nonempty 2-d matrix."""
     if not np.all(np.isfinite(rows)):
-        return ValueError, "non-finite mechanism entry"
+        return L.NotNormalizable, "non-finite mechanism entry"
     if np.any(rows < 0):
         return L.NegativeMass, "negative mechanism entry"
     row_sums = rows.sum(axis=1)
     if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOL:
         bad = int(np.argmax(np.abs(row_sums - 1.0)))
-        return L.NotNormalizable, f"row {bad} sums to {row_sums[bad]!r}, not 1"
+        return L.NotNormalizable, f"row {bad} sums to {float(row_sums[bad])!r}, not 1"
     return None
 
 
@@ -568,6 +568,16 @@ class TestSerialization:
                "eps_claimed": None, "delta_claimed": None}
         rec = L.mechanism_from_dict(obj)
         np.testing.assert_allclose(rec.mechanism.rows.sum(axis=1), 1.0, atol=1e-15)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[1e308, 1e308], [0.5, 0.5]], "^row 0: sums to inf, outside the 1e-9 gate$"),
+        ([[0.5, 0.5], [1e308, 1e308]], "^row 1: sums to inf, outside the 1e-9 gate$"),
+    ])
+    def test_overflowing_row_sum(self, rows, message):
+        # Finite entries whose sum passes the float range: a format error,
+        # not numpy's overflow warning, which the test settings make an error.
+        with pytest.raises(L.MechanismFormatError, match=message):
+            L.mechanism_from_dict({"k": 2, "l": 2, "rows": rows})
 
     def test_rejects_negative_entry(self):
         obj = {"k": 2, "l": 2, "rows": [[1.1, -0.1], [0.5, 0.5]],
