@@ -499,19 +499,14 @@ def cmd_exponent(args) -> int:
 
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The argument parser and its {command: subparser} map, built once;
-    parsing leaves them unchanged."""
+    """The argument parser and argparse's own {command: subparser} map,
+    built once; parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(prog="ldpopt",
                                      description="Optimal mechanisms for local "
                                                  "differential privacy on finite alphabets.")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
 
-    def command(name: str, summary: str) -> argparse.ArgumentParser:
-        commands[name] = sub.add_parser(name, help=summary)
-        return commands[name]
-
-    p = command("mech", "construct a named mechanism and emit JSON")
+    p = sub.add_parser("mech", help="construct a named mechanism and emit JSON")
     p.add_argument("kind", choices=["binary", "binary-mi", "rr", "geometric", "quaternary"])
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--eps", type=float, required=True)
@@ -521,7 +516,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--out")
     p.set_defaults(func=cmd_mech)
 
-    p = command("opt", "solve the pattern LP and emit the optimal mechanism")
+    p = sub.add_parser("opt", help="solve the pattern LP and emit the optimal mechanism")
     p.add_argument("--utility", choices=UTILITIES, required=True)
     p.add_argument("--eps", type=float, required=True)
     for flag in PRIOR_FLAGS:
@@ -529,7 +524,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--out")
     p.set_defaults(func=cmd_opt)
 
-    p = command("check", "validate a mechanism file and its privacy claims")
+    p = sub.add_parser("check", help="validate a mechanism file and its privacy claims")
     p.add_argument("mechanism")
     p.add_argument("--eps", type=float)
     p.add_argument("--delta", type=float)
@@ -537,7 +532,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         p.add_argument(flag)
     p.set_defaults(func=cmd_check)
 
-    p = command("region", "emit an error-region boundary as CSV")
+    p = sub.add_parser("region", help="emit an error-region boundary as CSV")
     p.add_argument("--mech")
     p.add_argument("--x0", type=int, default=0)
     p.add_argument("--x1", type=int, default=1)
@@ -546,7 +541,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--out")
     p.set_defaults(func=cmd_region)
 
-    p = command("sweep", "run a benchmark sweep over random priors")
+    p = sub.add_parser("sweep", help="run a benchmark sweep over random priors")
     p.add_argument("--config", help="JSON file with the sweep configuration")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int)
@@ -557,7 +552,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
-    p = command("exponent", "Monte-Carlo Chernoff-Stein exponent estimate")
+    p = sub.add_parser("exponent", help="Monte-Carlo Chernoff-Stein exponent estimate")
     p.add_argument("--p0", required=True)
     p.add_argument("--p1", required=True)
     p.add_argument("--eps", type=float, default=1.0)
@@ -568,7 +563,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_exponent)
-    return parser, commands
+    return parser, sub.choices
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -123,7 +123,8 @@ class Distribution:
         # minimum, and a +inf makes the sum inf.
         lo = probs.min()
         if lo >= 0:
-            total = float(probs.sum())
+            with np.errstate(over="ignore"):  # finite masses may sum past the float range
+                total = float(probs.sum())
             if abs(total - 1.0) <= ROW_SUM_TOL:
                 return
         _check_masses(probs, lo, "probability mass")
@@ -181,7 +182,8 @@ class Mechanism:
         # One pass accepts every valid matrix, as in Distribution.
         lo = rows.min()
         if lo >= 0:
-            sums = rows.sum(axis=1)
+            with np.errstate(over="ignore"):
+                sums = rows.sum(axis=1)
             off = np.abs(sums - 1.0)
             if off.max() <= ROW_SUM_TOL:
                 return
@@ -406,19 +408,7 @@ def mechanism_from_dict(obj: dict) -> MechanismRecord:
 
 def mechanism_to_json(Q: Mechanism, eps_claimed: float | None = None,
                       delta_claimed: float | None = None) -> str:
-    """Exactly json.dumps(mechanism_to_dict(...), indent=2), written without
-    json's indenting encoder, which is pure Python.
-
-    Entries are finite floats, which json spells by float.__repr__; k, l
-    and the claims go through json.dumps itself.
-    """
-    d = mechanism_to_dict(Q, eps_claimed, delta_claimed)
-    rows = ",\n".join(["    [\n      " + ",\n      ".join(map(float.__repr__, row)) + "\n    ]"
-                       for row in d["rows"]])
-    return (f'{{\n  "k": {json.dumps(d["k"])},\n  "l": {json.dumps(d["l"])},\n'
-            f'  "rows": [\n{rows}\n  ],\n'
-            f'  "eps_claimed": {json.dumps(d["eps_claimed"])},\n'
-            f'  "delta_claimed": {json.dumps(d["delta_claimed"])}\n}}')
+    return json.dumps(mechanism_to_dict(Q, eps_claimed, delta_claimed), indent=2)
 
 
 def mechanism_from_json(text: str) -> MechanismRecord:

@@ -203,6 +203,18 @@ class TestOnePassValidation:
         with pytest.raises(L.NotNormalizable):
             L.Distribution(np.array([1.0 + ROW_SUM_TOL, 0.0]))
 
+    # Finite masses whose sum passes the float range: NotNormalizable, and
+    # no numpy overflow warning ahead of it (an error under the suite's filter).
+    def test_distribution_sum_past_float_range(self):
+        with pytest.raises(L.NotNormalizable) as exc:
+            L.Distribution(np.array([1e308, 1e308]))
+        assert str(exc.value) == "masses sum to inf, not 1"
+
+    def test_mechanism_row_sum_past_float_range(self):
+        with pytest.raises(L.NotNormalizable) as exc:
+            L.Mechanism(np.array([[1e308, 1e308], [0.5, 0.5]]))
+        assert str(exc.value) == "row 0 sums to inf, not 1"
+
     def test_special_entries(self):
         for v in _SPECIAL:
             for arr in ([v, 1.0], [1.0, v], [v, 0.5, 0.5], [v, v],
