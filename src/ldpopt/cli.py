@@ -78,7 +78,7 @@ def _reject_given(args, flags, reason: str) -> None:
     """Raise naming the first of flags that was given, with the reason the
     command would not read it; handlers call this before any output."""
     for flag in flags:
-        if getattr(args, flag[2:]) is not None:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
             raise ValueError(f"{flag} {reason}")
 
 
@@ -284,9 +284,7 @@ def run_exponent_sim(P0: Distribution, P1: Distribution, Q: Mechanism,
     m1 = induced_marginal(P1, Q)
     a, b = m0.probs, m1.probs
 
-    w = np.zeros(a.size)
-    finite = (a > 0) & (b > 0)
-    w[finite] = np.log(a[finite] / b[finite])
+    w = np.log(np.divide(a, b, out=np.ones(a.size), where=(a > 0) & (b > 0)))
     w[(a > 0) & (b == 0)] = math.inf  # never drawn under M1
 
     try:
@@ -453,6 +451,8 @@ def cmd_region(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.config is not None:
+        _reject_given(args, ("--seed", "--k", "--num-instances", "--eps-grid", "--utility",
+                             "--mechanisms"), "is not read with --config")
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
@@ -465,7 +465,8 @@ def cmd_sweep(args) -> int:
         if args.k is None or args.eps_grid is None or args.utility is None:
             raise ValueError("--k, --eps-grid and --utility are required without --config")
         cfg = SweepConfig(
-            seed=args.seed, k=args.k, num_instances=args.num_instances,
+            seed=0 if args.seed is None else args.seed, k=args.k,
+            num_instances=100 if args.num_instances is None else args.num_instances,
             eps_grid=_parse_numbers("--eps-grid", args.eps_grid), utility=args.utility,
             mechanisms=SWEEP_MECHANISMS if args.mechanisms is None
             else args.mechanisms.split(","),
@@ -543,9 +544,9 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     p = sub.add_parser("sweep", help="run a benchmark sweep over random priors")
     p.add_argument("--config", help="JSON file with the sweep configuration")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--num-instances", type=int, default=100)
+    p.add_argument("--num-instances", type=int)
     p.add_argument("--eps-grid", dest="eps_grid")
     p.add_argument("--utility", choices=UTILITIES)
     p.add_argument("--mechanisms")

@@ -141,8 +141,7 @@ class Distribution:
 
     def mass(self, subset: Iterable[int]) -> float:
         """Total mass of a subset of outcome indices."""
-        idx = list(subset)
-        return float(self.probs[idx].sum()) if idx else 0.0
+        return float(self.probs[list(subset)].sum())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Distribution) and np.array_equal(self.probs, other.probs)

@@ -339,14 +339,6 @@ def extract_mechanism(sol: LPSolution, lp: StaircaseLP) -> Mechanism:
     return Mechanism(cols / cols.sum(axis=1, keepdims=True))
 
 
-def _combinations(n: int, r: int) -> np.ndarray:
-    """The C(n, r) x r array of r-subsets of range(n) (n <= 256), in
-    itertools order, streamed without a list of tuples."""
-    m = math.comb(n, r)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), r))
-    return np.fromiter(flat, dtype=np.uint8, count=m * r).reshape(m, r)
-
-
 @functools.cache
 def _oracle_bases(k: int) -> tuple[np.ndarray, ...]:
     """The eps-free part of every k-column basis M of the difference rows
@@ -363,7 +355,8 @@ def _oracle_bases(k: int) -> tuple[np.ndarray, ...]:
     n = 2**k
     bits = _pattern_bits(k)
     diffs = bits[1:] - bits[0]
-    bases = _combinations(n, k)
+    bases = np.fromiter(itertools.combinations(range(n), k), dtype=(np.uint8, k),
+                        count=math.comb(n, k))
     others = np.array([[j for j in range(k) if j != i] for i in range(k)])
     # Blocks of 4,096 bases hold the k = 5 minor stack to a few MB, not 130.
     minors = [np.linalg.det(diffs[:, bases[i:i + 4096, others]].transpose(2, 1, 0, 3))

@@ -101,8 +101,7 @@ def region_from_marginals(M0: Distribution, M1: Distribution) -> TradeoffRegion:
     a, b = M0.probs, M1.probs
     keep = (a > MASS_FLOOR) | (b > MASS_FLOOR)
     a, b = a[keep], b[keep]
-    with np.errstate(divide="ignore"):
-        ratio = np.where(b > MASS_FLOOR, a / np.where(b > MASS_FLOOR, b, 1.0), math.inf)
+    ratio = np.divide(a, b, out=np.full(a.shape, math.inf), where=b > MASS_FLOOR)
     order = np.argsort(-ratio, kind="stable")
     a, b, ratio = a[order], b[order], ratio[order]
 

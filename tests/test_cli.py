@@ -453,6 +453,19 @@ class TestSweepCommand:
         assert flag.read_text().startswith("instance_id,eps,mechanism,")
         assert not (tmp_path / "file.csv").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "99"), ("--k", "12"), ("--num-instances", "50"),
+        ("--eps-grid", "1.0"), ("--utility", "mi"), ("--mechanisms", "rr"),
+    ])
+    def test_config_rejects_sweep_flags(self, tmp_path, capsys, flag, value):
+        cfg = dict(self.CFG, eps_grid=list(self.CFG["eps_grid"]),
+                   out_path=str(tmp_path / "file.csv"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(cfg_path), flag, value]) == 1
+        assert capsys.readouterr() == ("", f"error: {flag} is not read with --config\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_invalid_config(self, capsys):
         assert main(["sweep", "--k", "3", "--eps-grid", "",
                      "--utility", "kl"]) == 1
